@@ -124,30 +124,7 @@ def main() -> None:
     print(f"parallel executor (2 workers): {len(parallel)} jobs, "
           f"flips identical to the serial campaign")
 
-    # 7. When no locality assumption is wanted (or the graph is too big
-    #    for two-hop balls), the `block` strategy searches the WHOLE upper
-    #    triangle through a seeded random block of `block_size` pairs —
-    #    memory O(block_size) regardless of graph size, deterministic per
-    #    seed (block_seed and block_size are content-hashed into each
-    #    job_id, so checkpoints resume the exact same blocks).  This is
-    #    the strategy that runs the gradient attacks on the full
-    #    88.8k-node store graph: benchmarks/results/BENCH_prbcd.json.
-    block_jobs = grid_jobs(
-        "gradmaxsearch",
-        [[t] for t in targets],
-        budgets=[budget],
-        candidates="block",
-        block_size=4096,
-        block_seed=1,
-    )
-    block_sweep = AttackCampaign(graph, backend="sparse").run(block_jobs)
-    block_tau = np.mean([o.score_decrease for o in block_sweep])
-    print(f"\nblock candidates (4096 pairs, whole triangle): "
-          f"mean tau {block_tau:.1%} vs "
-          f"{np.mean([o.score_decrease for o in gradmax]):.1%} "
-          f"for target_incident")
-
-    # 8. Any run can be traced: pass telemetry= (or set REPRO_TELEMETRY,
+    # 7. Any run can be traced: pass telemetry= (or set REPRO_TELEMETRY,
     #    or --telemetry on the CLIs) and every layer writes spans, events
     #    and kernel counters to per-worker JSONL sinks — with results
     #    bit-identical to the untraced run.  Inspect the merged trace

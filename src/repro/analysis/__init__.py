@@ -19,7 +19,6 @@ Run ``python -m repro.analysis`` for the CLI the CI gate uses.
 
 from repro.analysis import rules as _rules  # noqa: F401 — registers the rules
 from repro.analysis.audit import (
-    audit_block_parity_coverage,
     audit_engine_api,
     audit_kernel_parity_coverage,
     audit_parity_coverage,
@@ -54,7 +53,6 @@ __all__ = [
     "RULE_REGISTRY",
     "analyze_paths",
     "assert_readonly_mmap",
-    "audit_block_parity_coverage",
     "audit_engine_api",
     "audit_kernel_parity_coverage",
     "audit_parity_coverage",

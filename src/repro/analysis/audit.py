@@ -5,7 +5,7 @@ The linter checks source; these audits check the *live objects*:
 * :func:`audit_engine_api` — the dense and sparse
   :class:`~repro.oddball.surrogate.SurrogateEngine` implementations must
   expose identical public APIs with identical signatures.  Every future
-  backend (compiled kernels, PRBCD blocks) is held to the same bar: a
+  backend (e.g. compiled kernels) is held to the same bar: a
   method added to one engine but not the other silently forks the parity
   surface the whole test strategy assumes.
 * :func:`audit_parity_coverage` — every attack in
@@ -19,12 +19,6 @@ The linter checks source; these audits check the *live objects*:
   numpy-vs-compiled ``*Parity*`` test class.  The compiled backend's whole
   contract is bit-identity with the numpy oracle; a kernel without a
   parity test has no contract.
-* :func:`audit_block_parity_coverage` — every shared-engine attack must
-  additionally appear in a ``*Block*Parity*`` test class: the ``block``
-  candidate strategy's degenerate mode (block covering every pair) promises
-  bit-identical flips to ``full`` for *every* attack, so an attack wired
-  into the campaign without a block-degeneracy test silently narrows that
-  promise.
 
 Audit findings reuse the :class:`~repro.analysis.findings.Finding` shape
 so the CLI reports them alongside lint findings.
@@ -39,7 +33,6 @@ from pathlib import Path
 from repro.analysis.findings import Finding
 
 __all__ = [
-    "audit_block_parity_coverage",
     "audit_engine_api",
     "audit_kernel_parity_coverage",
     "audit_parity_coverage",
@@ -49,7 +42,6 @@ __all__ = [
 _ENGINE_RULE = "engine-api-parity"
 _COVERAGE_RULE = "parity-test-coverage"
 _KERNEL_RULE = "kernel-parity-coverage"
-_BLOCK_RULE = "block-parity-coverage"
 _SURROGATE_PATH = "oddball/surrogate.py"
 
 
@@ -131,21 +123,11 @@ def _default_parity_test_dir() -> Path:
     return Path(repro.__file__).resolve().parents[2] / "tests" / "attacks"
 
 
-def _identifiers_in_classes(
-    tree: ast.Module, *needles: str
-) -> "set[str]":
-    """Names, attributes, and string constants inside matching test classes.
-
-    A class matches when its (lowercased) name contains every needle —
-    ``("parity",)`` finds the backend/kernel parity suites,
-    ``("block", "parity")`` the block-degeneracy ones.
-    """
+def _identifiers_in_parity_classes(tree: ast.Module) -> "set[str]":
+    """Names, attributes, and string constants inside ``*Parity*`` classes."""
     tokens: set[str] = set()
     for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        lowered = node.name.lower()
-        if not all(needle in lowered for needle in needles):
+        if not isinstance(node, ast.ClassDef) or "parity" not in node.name.lower():
             continue
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
@@ -155,11 +137,6 @@ def _identifiers_in_classes(
             elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
                 tokens.add(sub.value)
     return tokens
-
-
-def _identifiers_in_parity_classes(tree: ast.Module) -> "set[str]":
-    """Names, attributes, and string constants inside ``*Parity*`` classes."""
-    return _identifiers_in_classes(tree, "parity")
 
 
 def audit_parity_coverage(test_paths: "list[Path] | None" = None) -> "list[Finding]":
@@ -289,73 +266,10 @@ def audit_kernel_parity_coverage(
     return findings
 
 
-def audit_block_parity_coverage(
-    test_paths: "list[Path] | None" = None,
-) -> "list[Finding]":
-    """Every ``SHARED_ENGINE_ATTACKS`` entry needs a block-degeneracy test.
-
-    The ``block`` candidate strategy promises that a block covering every
-    pair selects bit-identical flips to ``full`` for *every* attack (the
-    anchor that makes sub-full blocks a pure memory/quality trade, not a
-    semantics change).  This audit mirrors :func:`audit_parity_coverage`
-    over classes whose name contains both ``Block`` and ``Parity``, so an
-    attack added to the campaign without extending the degenerate-parity
-    suite fails the same CI gate as one without a backend-parity test.
-    """
-    from repro.attacks import ATTACK_REGISTRY
-    from repro.attacks.campaign import SHARED_ENGINE_ATTACKS
-
-    if test_paths is None:
-        test_dir = _default_parity_test_dir()
-        if not test_dir.is_dir():
-            return [
-                Finding(
-                    rule=_BLOCK_RULE,
-                    path="tests/attacks",
-                    line=1,
-                    message=(
-                        f"parity test directory {test_dir} not found; cannot "
-                        "verify block-degeneracy coverage"
-                    ),
-                )
-            ]
-        test_paths = sorted(test_dir.glob("test_*.py"))
-
-    tokens: set[str] = set()
-    for path in test_paths:
-        try:
-            tree = ast.parse(Path(path).read_text())
-        except (OSError, SyntaxError):
-            continue
-        tokens |= _identifiers_in_classes(tree, "block", "parity")
-
-    findings: list[Finding] = []
-    for attack_name in sorted(SHARED_ENGINE_ATTACKS):
-        attack_cls = ATTACK_REGISTRY.get(attack_name)
-        if attack_cls is None:
-            continue  # already reported by audit_parity_coverage
-        if attack_cls.__name__ not in tokens and attack_name not in tokens:
-            findings.append(
-                Finding(
-                    rule=_BLOCK_RULE,
-                    path="attacks/campaign.py",
-                    line=1,
-                    message=(
-                        f"attack {attack_name!r} ({attack_cls.__name__}) has "
-                        "no *Block*Parity* test class referencing it; every "
-                        "SHARED_ENGINE_ATTACKS member needs a degenerate-"
-                        "block-equals-full parity test"
-                    ),
-                )
-            )
-    return findings
-
-
 def run_audits() -> "list[Finding]":
     """Run every reflection audit and concatenate the findings."""
     return (
         audit_engine_api()
         + audit_parity_coverage()
         + audit_kernel_parity_coverage()
-        + audit_block_parity_coverage()
     )

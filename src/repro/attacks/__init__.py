@@ -17,12 +17,7 @@ from repro.attacks.campaign import (
 )
 from repro.attacks.executor import ParallelCampaignExecutor, build_campaign
 from repro.attacks.scheduler import SchedulingCampaignExecutor, WorkQueue
-from repro.attacks.candidates import (
-    CANDIDATE_STRATEGIES,
-    AdaptiveCandidateSet,
-    BlockCandidateSet,
-    CandidateSet,
-)
+from repro.attacks.candidates import CANDIDATE_STRATEGIES, AdaptiveCandidateSet, CandidateSet
 from repro.attacks.constraints import (
     creates_singleton,
     filter_valid_flips,
@@ -45,7 +40,6 @@ ATTACK_REGISTRY = {
 __all__ = [
     "ATTACK_REGISTRY",
     "AdaptiveCandidateSet",
-    "BlockCandidateSet",
     "AttackCampaign",
     "AttackJob",
     "AttackResult",

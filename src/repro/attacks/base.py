@@ -229,25 +229,20 @@ class StructuralAttack(abc.ABC):
         targets: Sequence[int],
         n: int,
         budget: "int | None" = None,
-        block_size: "int | None" = None,
-        block_seed: int = 0,
     ) -> "CandidateSet | None":
         """Normalise the ``candidates`` argument of :meth:`attack`.
 
         ``None`` stays ``None`` (the attack keeps its legacy full-pair code
         path); a strategy name is built against ``graph``/``targets``; a
         prebuilt :class:`CandidateSet` is checked for size agreement.
-        ``budget`` and the ``block_*`` knobs feed the budget-aware sizing
-        policies of the ``adaptive_gradient`` and ``block`` strategies
-        (ignored for prebuilt sets and the static strategies).
+        ``budget`` feeds the budget-aware admission cap of the
+        ``adaptive_gradient`` strategy (ignored for prebuilt sets and the
+        static strategies).
         """
         if candidates is None:
             return None
         if isinstance(candidates, str):
-            return CandidateSet.build(
-                candidates, graph, targets,
-                budget=budget, block_size=block_size, block_seed=block_seed,
-            )
+            return CandidateSet.build(candidates, graph, targets, budget=budget)
         if not isinstance(candidates, CandidateSet):
             raise TypeError(
                 "candidates must be None, a strategy name or a CandidateSet, "

@@ -70,7 +70,7 @@ from repro.attacks.constraints import filter_valid_flips_engine
 from repro.kernels import validate_kernels
 from repro.oddball.surrogate import SurrogateEngine, resolve_backend, validate_backend
 from repro.utils.logging import get_logger
-from repro.utils.validation import check_budget
+from repro.utils.validation import check_budget, check_finite
 
 __all__ = ["BinarizedAttack"]
 
@@ -121,13 +121,6 @@ class BinarizedAttack(StructuralAttack):
         Surrogate engine backend: ``"dense"`` (exact historical autograd
         path), ``"sparse"`` (incremental features + rollback, for large or
         scipy-sparse graphs) or ``"auto"`` (pick by input size/type).
-    block_size, block_seed:
-        Parameters of the ``candidates="block"`` strategy (PRBCD): the
-        random block's size cap (default:
-        :func:`~repro.attacks.candidates.default_block_size` of the
-        budget) and its sampling seed.  Part of the attack's campaign-job
-        identity, so block runs checkpoint/resume deterministically.
-        Ignored for every other strategy.
 
     Example
     -------
@@ -153,27 +146,19 @@ class BinarizedAttack(StructuralAttack):
         normalize_gradient: bool = True,
         backend: str = "auto",
         kernels: str = "auto",
-        block_size: "int | None" = None,
-        block_seed: int = 0,
     ):
         if not lambdas:
             raise ValueError("lambda sweep must not be empty")
-        if any(lam < 0 for lam in lambdas):
-            raise ValueError(f"lambdas must be non-negative, got {list(lambdas)}")
         if iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {iterations}")
-        if not 0.0 <= init <= 1.0:
-            raise ValueError(f"init must lie in [0, 1], got {init}")
-        self.lambdas = tuple(float(lam) for lam in lambdas)
+        self.lambdas = tuple(check_finite(lam, "lambda", low=0.0) for lam in lambdas)
         self.iterations = iterations
-        self.lr = lr
-        self.floor = floor
-        self.init = init
+        self.lr = check_finite(lr, "lr", positive=True)
+        self.floor = check_finite(floor, "floor", positive=True)
+        self.init = check_finite(init, "init", low=0.0, high=1.0)
         self.normalize_gradient = normalize_gradient
         self.backend = validate_backend(backend)
         self.kernels = validate_kernels(kernels)
-        self.block_size = None if block_size is None else int(block_size)
-        self.block_seed = int(block_seed)
 
     # ------------------------------------------------------------------ #
     def attack(
@@ -194,8 +179,7 @@ class BinarizedAttack(StructuralAttack):
         budget = check_budget(budget)
 
         candidate_set = self._resolve_candidates(
-            candidates, adjacency, targets, n,
-            budget=budget, block_size=self.block_size, block_seed=self.block_seed,
+            candidates, adjacency, targets, n, budget=budget
         )
         if candidate_set is None:
             rows, cols = np.triu_indices(n, k=1)
@@ -254,25 +238,19 @@ class BinarizedAttack(StructuralAttack):
                 gradient = gradient + lam
                 zdot = np.clip(zdot - self.lr * gradient, 0.0, 1.0)
                 # Per-step adaptation: a recorded (validated) iterate counts
-                # as landed flips.  Refresh runs every iteration — adaptive
-                # sets only react to landed flips (and return ``self``
-                # otherwise), while a block set resamples its low-gradient
-                # half each step, PRBCD-style.  Ż survives through
-                # ``transfer_positions``: surviving pairs keep their state,
-                # evicted pairs drop theirs, fresh entries start at ``init``
-                # (a membership change can keep |C| constant, so the old
-                # length check is not a valid shortcut here).
-                if candidate_set is not None:
-                    refreshed = candidate_set.refresh(landed or [], engine)
+                # as landed flips; remap Ż onto the grown set, seeding new
+                # entries at ``init``.  ``remap_positions`` raises if the
+                # refresh dropped a pair (sets only grow).
+                if landed and candidate_set is not None:
+                    refreshed = candidate_set.refresh(landed, engine)
                     if refreshed is not candidate_set:
-                        if not refreshed.same_pairs(candidate_set):
-                            migrated = np.full(
+                        positions = refreshed.remap_positions(rows, cols)
+                        if len(refreshed) != len(candidate_set):
+                            grown_zdot = np.full(
                                 len(refreshed), self.init, dtype=np.float64
                             )
-                            positions = refreshed.transfer_positions(rows, cols)
-                            survived = positions >= 0
-                            migrated[positions[survived]] = zdot[survived]
-                            zdot = migrated
+                            grown_zdot[positions] = zdot
+                            zdot = grown_zdot
                             engine.set_candidates(refreshed)
                             rows, cols = refreshed.rows, refreshed.cols
                         candidate_set = refreshed

@@ -566,6 +566,21 @@ def validate_jobs(jobs: Iterable[AttackJob], n: int) -> list[AttackJob]:
     return jobs
 
 
+def _check_outcome(outcome: JobOutcome, n: int) -> None:
+    """Raise ``ValueError`` if a record read back from disk breaks the flip
+    contract: every flip a canonical pair ``u < v`` of ``[0, n)``, every
+    budget key in ``[0, job.budget]``."""
+    budget = outcome.job.budget
+    for key, flips in outcome.flips_by_budget.items():
+        if not 0 <= key <= budget:
+            raise ValueError(f"budget key {key} outside [0, {budget}]")
+        for u, v in flips:
+            if not 0 <= u < v < n:
+                raise ValueError(
+                    f"flip ({u}, {v}) is not a canonical pair of [0, {n})"
+                )
+
+
 class CheckpointStore:
     """One JSONL campaign checkpoint file: a header plus one outcome per line.
 
@@ -622,7 +637,9 @@ class CheckpointStore:
         Resilient to a crash mid-append: a final line torn by a hard kill —
         whether it fails to parse as JSON or parses but cannot be
         reconstructed into a :class:`JobOutcome` — is skipped with a
-        warning, costing exactly that one job.  A file consisting only of a
+        warning, costing exactly that one job.  A record whose flips are not
+        canonical pairs of this graph, or whose budget keys exceed its job's
+        budget, is skipped the same way.  A file consisting only of a
         torn *header* (the very first append died mid-write) is repaired to
         empty instead of poisoning every later resume.
         """
@@ -676,11 +693,13 @@ class CheckpointStore:
                 continue
             try:
                 outcome = JobOutcome.from_dict(payload)
+                _check_outcome(outcome, self.n)
             except (KeyError, TypeError, ValueError) as error:
                 # Valid JSON that is not a reconstructible outcome: a tear
                 # can land exactly on a nested close-brace, leaving a parse-
-                # able prefix with fields missing.  Same cost as an unparse-
-                # able tear: that one job re-runs.
+                # able prefix with fields missing, and a hand-edited record
+                # can name flips that do not exist on this graph.  Same
+                # cost as an unparseable tear: that one job re-runs.
                 _log.warning(
                     "checkpoint %s has an unreadable entry (%s); "
                     "ignoring that job", self.path, error,

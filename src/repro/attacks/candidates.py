@@ -11,7 +11,7 @@ the features of ``u``, ``v`` and their common neighbours only, so pairs far
 from every target are useless until the graph around a target has grown.
 
 :class:`CandidateSet` is the container threaded through
-:meth:`repro.attacks.base.StructuralAttack.attack`.  Three built-in
+:meth:`repro.attacks.base.StructuralAttack.attack`.  The built-in
 strategies trade coverage for speed:
 
 ``full``
@@ -49,30 +49,16 @@ strategies trade coverage for speed:
     superset-of-``target_incident`` invariant (growth only ever adds),
     with |C| growing by a bounded amount per landed flip instead of by
     O(deg) — the ROADMAP's gradient-informed growth policy.
-``block``
-    PRBCD-style randomized block coordinate descent ("Robustness of GNNs
-    at Scale"): the decision variables are a seeded uniform random *block*
-    of at most ``block_size`` pairs drawn (with replacement, then deduped)
-    from all n(n−1)/2, so memory is O(block_size) **independent of n** —
-    the only strategy that scales to the 88.8k-node store graphs without
-    target-locality assumptions.  Each :meth:`~CandidateSet.refresh`
-    re-ranks the live block by |∂L/∂A|, keeps the top half plus every
-    already-flipped pair (flips are never evicted — the invariant the
-    attacks' state transfer relies on), and resamples the remainder from a
-    fresh deterministic draw.  Unlike the adaptive strategies a refresh
-    both adds AND drops pairs; attacks migrate per-pair optimiser state
-    with :meth:`CandidateSet.transfer_positions` instead of
-    :meth:`~CandidateSet.remap_positions`.  When ``block_size`` covers
-    every pair the block degenerates to exactly ``full`` (same pairs, same
-    order, refresh is a no-op), which is the parity anchor the tests pin.
 
-Admission and block sizing share one budget-aware policy
-(:func:`admission_cap`, :func:`default_block_size`): both scale with the
-attack budget, and λ-awareness enters through the ranking itself — the
-engine's ``pair_gradient`` is the λ-regularised surrogate gradient, so a
-sweep's sparsity pressure directly shapes which pairs survive a refresh.
-(The former ``AdaptiveCandidateSet.GRADIENT_ADMIT_CAP`` class constant is
-retired in favour of this policy.)
+Admission follows one budget-aware policy (:func:`admission_cap`): it
+scales with the attack budget, and λ-awareness enters through the ranking
+itself — the engine's ``pair_gradient`` is the λ-regularised surrogate
+gradient, so a sweep's sparsity pressure directly shapes which pairs are
+admitted.
+
+Every refresh only *grows* a set, so attacks carry per-pair optimiser state
+across a refresh with :meth:`CandidateSet.remap_positions`, which raises if
+a refresh ever dropped a pair.
 
 Candidate pairs are canonical (``u < v``), unique and lexicographically
 sorted, so ``full`` enumerates pairs in exactly the order of
@@ -93,30 +79,21 @@ from repro.graph.graph import Graph
 
 __all__ = [
     "AdaptiveCandidateSet",
-    "BlockCandidateSet",
     "CandidateSet",
     "CANDIDATE_STRATEGIES",
     "admission_cap",
-    "default_block_size",
 ]
 
 Edge = tuple[int, int]
 
 CANDIDATE_STRATEGIES = (
     "full", "target_incident", "two_hop", "adaptive", "adaptive_gradient",
-    "block",
 )
 
 #: Baseline per-refresh admission count of the gradient-ranked adaptive
 #: policy (the retired ``GRADIENT_ADMIT_CAP`` default, kept as the floor of
 #: the budget-aware :func:`admission_cap`).
 DEFAULT_ADMIT_CAP = 32
-
-#: Baseline block size of the ``block`` strategy when no explicit
-#: ``block_size`` is given — small enough that the per-refresh gradient
-#: scatter stays cheap, large enough to cover every pair outright below
-#: n ≈ 256 (where blocks degenerate to ``full``).
-DEFAULT_BLOCK_SIZE = 32_768
 
 
 def admission_cap(budget: "int | None" = None) -> int:
@@ -133,19 +110,6 @@ def admission_cap(budget: "int | None" = None) -> int:
     if budget is None:
         return DEFAULT_ADMIT_CAP
     return max(DEFAULT_ADMIT_CAP, 8 * int(budget))
-
-
-def default_block_size(n: int, budget: "int | None" = None) -> int:
-    """Default ``block`` size: budget-scaled, clamped to the full pair count.
-
-    Shares the shape of :func:`admission_cap` — more budget, more
-    simultaneous decision variables — with a much larger floor because the
-    block is the *entire* variable set, not a per-refresh increment.
-    """
-    total = n * (n - 1) // 2
-    if budget is None:
-        return min(total, DEFAULT_BLOCK_SIZE)
-    return min(total, max(DEFAULT_BLOCK_SIZE, 4096 * int(budget)))
 
 
 def _adjacency_rows(graph) -> "tuple[int, object]":
@@ -243,18 +207,13 @@ class CandidateSet:
         graph,
         targets: "Sequence[int] | None" = None,
         budget: "int | None" = None,
-        block_size: "int | None" = None,
-        block_seed: int = 0,
     ) -> "CandidateSet":
         """Build a candidate set with a named strategy.
 
         ``graph`` may be a :class:`Graph`, a dense adjacency array or a
         scipy sparse matrix; ``targets`` is required for every strategy
-        except ``full`` and ``block`` (global random sampling needs no
-        locality seed — targets are accepted and ignored).  ``budget``
-        feeds the budget-aware sizing policies (:func:`admission_cap` for
-        ``adaptive_gradient``, :func:`default_block_size` for ``block``);
-        ``block_size``/``block_seed`` parametrise ``block`` only.
+        except ``full``.  ``budget`` feeds the budget-aware
+        :func:`admission_cap` of ``adaptive_gradient``.
         """
         if strategy not in CANDIDATE_STRATEGIES:
             raise ValueError(
@@ -264,10 +223,6 @@ class CandidateSet:
         n = _node_count(graph)
         if strategy == "full":
             return cls.full(n)
-        if strategy == "block":
-            return BlockCandidateSet.start(
-                n, block_size=block_size, seed=block_seed, budget=budget
-            )
         if targets is None:
             raise ValueError(f"strategy {strategy!r} requires a target set")
         targets = sorted({int(t) for t in targets})
@@ -431,38 +386,6 @@ class CandidateSet:
             raise ValueError("pairs to remap are not all members of this set")
         return positions
 
-    def transfer_positions(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Positions of the given canonical pairs in this set, −1 where absent.
-
-        The resampling counterpart of :meth:`remap_positions`: a ``block``
-        refresh both admits and *evicts* pairs, so state transfer must
-        tolerate pairs that left the set.  Attacks scatter surviving state
-        through the non-negative entries and re-initialise the rest.
-        """
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        keys = self.rows * self.n + self.cols
-        wanted = rows * self.n + cols
-        positions = np.searchsorted(keys, wanted)
-        if keys.size == 0:
-            return np.full(wanted.shape, -1, dtype=np.intp)
-        clipped = np.minimum(positions, keys.size - 1)
-        return np.where(keys[clipped] == wanted, clipped, -1).astype(np.intp)
-
-    def same_pairs(self, other: "CandidateSet") -> bool:
-        """Whether ``other`` holds exactly the same pairs in the same order.
-
-        (Canonical ordering makes order equality equal to set equality.)
-        The attacks' per-step adaptation uses this — not ``len()`` equality,
-        which a resampling refresh can preserve while changing membership —
-        to decide whether optimiser state needs migrating.
-        """
-        return (
-            self.n == other.n
-            and np.array_equal(self.rows, other.rows)
-            and np.array_equal(self.cols, other.cols)
-        )
-
     def refresh(self, flips: "Sequence[Edge]", engine=None) -> "CandidateSet":
         """Hook the attacks call after ``flips`` land: maybe grow the set.
 
@@ -602,188 +525,11 @@ class AdaptiveCandidateSet(CandidateSet):
         """
         if add_keys.size <= self.admit_cap:
             return add_keys
-        order = _gradient_order(self.n, add_keys, engine)
+        # Sort on (−|g|, key): deterministic under ties, and backend-
+        # independent because the engines' ``pair_gradient`` agree
+        # bit-for-bit.
+        rows = (add_keys // self.n).astype(np.intp)
+        cols = (add_keys % self.n).astype(np.intp)
+        magnitude = np.abs(engine.pair_gradient(rows, cols))
+        order = np.lexsort((add_keys, -magnitude))
         return add_keys[order[: self.admit_cap]]
-
-
-def _gradient_order(n: int, keys: np.ndarray, engine) -> np.ndarray:
-    """Indices sorting ``keys`` by descending |∂L/∂A| at their pairs.
-
-    The one ranking rule both gradient-aware policies (adaptive admission
-    and block retention) share.  Sorting is on (−|g|, key): deterministic
-    under ties, backend-independent because the engines' ``pair_gradient``
-    implementations agree bit-for-bit.
-    """
-    rows = (keys // n).astype(np.intp)
-    cols = (keys % n).astype(np.intp)
-    magnitude = np.abs(engine.pair_gradient(rows, cols))
-    return np.lexsort((keys, -magnitude))
-
-
-def _sample_pair_keys(n: int, count: int, seed: int, draw: int) -> np.ndarray:
-    """``count`` uniform random canonical-pair keys (sorted, deduplicated).
-
-    Sampling is *with replacement* over triangular ranks in
-    [0, n(n−1)/2), then deduplicated — the PRBCD recipe — so the result
-    may hold fewer than ``count`` keys.  The generator is seeded from
-    ``(seed, draw)``: every (seed, draw) pair maps to one fixed block on
-    every platform/backend, which is what makes block attacks
-    checkpoint-resumable and their flip sets reproducible per seed.
-    """
-    if count <= 0:
-        return np.empty(0, dtype=np.intp)
-    total = n * (n - 1) // 2
-    rng = np.random.default_rng([int(seed), int(draw)])
-    ranks = np.unique(rng.integers(0, total, size=count, dtype=np.int64))
-    # Invert the triangular rank: row i owns ranks [S(i), S(i+1)) where
-    # S(i) = i·n − i(i+1)/2.  The float solve of the quadratic is within
-    # ±1 of the true row; the two fix-up loops each run at most twice.
-    approx = (2 * n - 1 - np.sqrt((2.0 * n - 1) ** 2 - 8.0 * ranks)) / 2.0
-    i = np.clip(np.floor(approx).astype(np.int64), 0, n - 2)
-
-    def _row_start(row: np.ndarray) -> np.ndarray:
-        return row * n - row * (row + 1) // 2
-
-    overshoot = _row_start(i) > ranks
-    while overshoot.any():
-        i[overshoot] -= 1
-        overshoot = _row_start(i) > ranks
-    undershoot = _row_start(i + 1) <= ranks
-    while undershoot.any():
-        i[undershoot] += 1
-        undershoot = _row_start(i + 1) <= ranks
-    j = ranks - _row_start(i) + i + 1
-    return (i * n + j).astype(np.intp)
-
-
-@dataclass(frozen=True, eq=False)
-class BlockCandidateSet(CandidateSet):
-    """A PRBCD random block of candidate pairs with gradient resampling.
-
-    The block is a seeded uniform draw of at most ``block_size`` canonical
-    pairs over the *whole* upper triangle — no target locality, so memory
-    and per-step cost are O(block_size) regardless of n.  Every
-    :meth:`refresh` call:
-
-    1. folds the newly landed flips into ``flipped`` (once flipped, a pair
-       stays in the block forever — its optimiser state must survive);
-    2. ranks the current block by |∂L/∂A| (:func:`_gradient_order`) and
-       keeps the top ``block_size // 2`` plus all flipped pairs;
-    3. draws a fresh deterministic sample (``draw + 1``) to refill up to
-       ``block_size``.
-
-    Determinism: the k-th refresh of a block started with ``seed`` always
-    evaluates generator ``(seed, k)``, so identical seeds yield identical
-    candidate sequences across backends, kernels, and resumed checkpoints.
-
-    Degenerate case: when ``block_size`` covers all n(n−1)/2 pairs the
-    block *is* ``full`` (same pairs, same ``np.triu_indices`` order) and
-    :meth:`refresh` returns ``self`` — block attacks then match full-pair
-    attacks bit-for-bit (parity-tested for every shared-engine attack).
-    """
-
-    block_size: int = DEFAULT_BLOCK_SIZE
-    seed: int = 0
-    draw: int = 0
-    flipped: "frozenset[Edge]" = frozenset()
-
-    @classmethod
-    def start(
-        cls,
-        n: int,
-        block_size: "int | None" = None,
-        seed: int = 0,
-        budget: "int | None" = None,
-    ) -> "BlockCandidateSet":
-        """Draw the initial block (draw 0) of at most ``block_size`` pairs.
-
-        ``block_size=None`` applies :func:`default_block_size`; explicit
-        sizes are clamped to the full pair count (asking for more than
-        every pair is the documented degenerate-``full`` mode, not an
-        error).
-        """
-        if n < 2:
-            raise ValueError(f"block candidates need >= 2 nodes, got {n}")
-        total = n * (n - 1) // 2
-        if block_size is None:
-            block_size = default_block_size(n, budget)
-        block_size = int(block_size)
-        if block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {block_size}")
-        block_size = min(block_size, total)
-        if block_size == total:
-            rows, cols = np.triu_indices(n, k=1)
-            keys = None
-        else:
-            keys = _sample_pair_keys(n, block_size, seed, 0)
-            rows = (keys // n).astype(np.intp)
-            cols = (keys % n).astype(np.intp)
-        return cls(
-            n=n,
-            rows=rows.astype(np.intp),
-            cols=cols.astype(np.intp),
-            strategy="block",
-            block_size=block_size,
-            seed=int(seed),
-            draw=0,
-        )
-
-    @property
-    def is_degenerate_full(self) -> bool:
-        """Whether the block covers every pair (the ``full``-parity mode)."""
-        return self.block_size >= self.n * (self.n - 1) // 2
-
-    def refresh(self, flips: "Sequence[Edge]", engine=None) -> "CandidateSet":
-        """Resample the low-|gradient| half of the block; returns a new set.
-
-        Keeps the top ``block_size // 2`` pairs by current |∂L/∂A| plus
-        every pair ever flipped, then refills from draw ``draw + 1``.
-        |result| ≤ ``block_size`` always; flipped pairs are never evicted.
-        Degenerate-full blocks return ``self`` (nothing to resample).
-        """
-        if self.is_degenerate_full:
-            return self
-        if engine is None:
-            raise ValueError(
-                "block candidate refresh needs a surrogate engine for "
-                "gradient ranking"
-            )
-        flipped = set(self.flipped)
-        for u, v in flips:
-            u, v = int(u), int(v)
-            flipped.add((u, v) if u < v else (v, u))
-        keys = self.rows * self.n + self.cols
-        keep = min(self.block_size // 2, keys.size)
-        order = _gradient_order(self.n, keys, engine)
-        kept = keys[order[:keep]]
-        if flipped:
-            flip_keys = np.fromiter(
-                (u * self.n + v for u, v in flipped),
-                dtype=np.intp,
-                count=len(flipped),
-            )
-            kept = np.union1d(kept, flip_keys)
-        else:
-            kept = np.sort(kept)
-        refill = self.block_size - kept.size
-        if refill > 0:
-            fresh = _sample_pair_keys(self.n, refill, self.seed, self.draw + 1)
-            fresh = np.setdiff1d(fresh, kept, assume_unique=True)
-            new_keys = np.union1d(kept, fresh[:refill])
-        else:
-            new_keys = kept
-        # Flipped pairs are a subset of the current block (never evicted),
-        # so the drop count is exactly the size difference.
-        _telemetry.count("candidates.block_refreshes", 1)
-        _telemetry.count("candidates.evictions", int(keys.size - kept.size))
-        _telemetry.count("candidates.admissions", int(new_keys.size - kept.size))
-        return BlockCandidateSet(
-            n=self.n,
-            rows=(new_keys // self.n).astype(np.intp),
-            cols=(new_keys % self.n).astype(np.intp),
-            strategy="block",
-            block_size=self.block_size,
-            seed=self.seed,
-            draw=self.draw + 1,
-            flipped=frozenset(flipped),
-        )

@@ -54,19 +54,12 @@ class ContinuousA(StructuralAttack):
     backend:
         Surrogate engine backend (``"auto"``/``"dense"``/``"sparse"``, see
         :mod:`repro.oddball.surrogate`).
-    block_size, block_seed:
-        Parameters of the ``candidates="block"`` strategy.  The
-        relaxation's decision variables are fixed for the whole PGD run,
-        so a block here means *one* seeded random draw optimised to
-        convergence (no per-step resampling) — the same static-variable
-        treatment the adaptive strategies get.
     """
 
     name = "continuousa"
 
     def __init__(self, lr: float = 0.01, max_iter: int = 200, tol: float = 1e-6,
-                 floor: float = 0.5, backend: str = "auto", kernels: str = "auto",
-                 block_size: "int | None" = None, block_seed: int = 0):
+                 floor: float = 0.5, backend: str = "auto", kernels: str = "auto"):
         if max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {max_iter}")
         self.lr = lr
@@ -75,8 +68,6 @@ class ContinuousA(StructuralAttack):
         self.floor = floor
         self.backend = validate_backend(backend)
         self.kernels = validate_kernels(kernels)
-        self.block_size = None if block_size is None else int(block_size)
-        self.block_seed = int(block_seed)
 
     def attack(
         self,
@@ -96,8 +87,7 @@ class ContinuousA(StructuralAttack):
         budget = check_budget(budget)
 
         candidate_set = self._resolve_candidates(
-            candidates, adjacency, targets, n,
-            budget=budget, block_size=self.block_size, block_seed=self.block_seed,
+            candidates, adjacency, targets, n, budget=budget
         )
         if candidate_set is None:
             rows, cols = np.triu_indices(n, k=1)

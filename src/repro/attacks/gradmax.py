@@ -43,7 +43,7 @@ from repro.oddball.surrogate import (
     validate_backend,
 )
 from repro.utils.logging import get_logger
-from repro.utils.validation import check_budget
+from repro.utils.validation import check_budget, check_finite
 
 __all__ = ["GradMaxSearch"]
 
@@ -64,10 +64,6 @@ class GradMaxSearch(StructuralAttack):
         behaviour: the legacy dense loop for small dense inputs without
         ``candidates``, the sparse-incremental engine whenever a candidate
         set is given, the graph is scipy-sparse, or it is large.
-    block_size, block_seed:
-        Parameters of the ``candidates="block"`` strategy (PRBCD random
-        block with gradient resampling); part of the attack's campaign-job
-        identity.  Ignored for every other strategy.
 
     Example
     -------
@@ -87,13 +83,10 @@ class GradMaxSearch(StructuralAttack):
     name = "gradmaxsearch"
 
     def __init__(self, floor: float = 1.0, backend: str = "auto",
-                 kernels: str = "auto", block_size: "int | None" = None,
-                 block_seed: int = 0):
-        self.floor = floor
+                 kernels: str = "auto"):
+        self.floor = check_finite(floor, "floor", positive=True)
         self.backend = validate_backend(backend)
         self.kernels = validate_kernels(kernels)
-        self.block_size = None if block_size is None else int(block_size)
-        self.block_seed = int(block_seed)
 
     def attack(
         self,
@@ -195,8 +188,7 @@ class GradMaxSearch(StructuralAttack):
         targets = validate_targets(targets, n)
         budget = check_budget(budget)
         candidate_set = self._resolve_candidates(
-            candidates, adjacency, targets, n,
-            budget=budget, block_size=self.block_size, block_seed=self.block_seed,
+            candidates, adjacency, targets, n, budget=budget
         )
         if candidate_set is None:
             candidate_set = CandidateSet.full(n)
@@ -245,21 +237,16 @@ class GradMaxSearch(StructuralAttack):
             modified[k] = True
             ordered_flips.append((u, v))
             surrogate_by_budget[len(ordered_flips)] = engine.current_loss()
-            # Per-step adaptation: the landed flip may grow the ball
-            # (adaptive) or trigger a resample of the low-gradient half
-            # (block).  The greedy state (``modified``) migrates via
-            # ``transfer_positions`` — flipped pairs are never evicted by
-            # any strategy, so no used-pair flag is ever lost; membership
-            # can change at constant |C|, so equality is checked on the
-            # pairs themselves.
+            # Per-step adaptation: the landed flip may grow the ball.  The
+            # greedy state (``modified``) is remapped onto the grown set via
+            # one searchsorted, which raises if the refresh dropped a pair.
             refreshed = candidate_set.refresh([(u, v)], engine)
             if refreshed is not candidate_set:
-                if not refreshed.same_pairs(candidate_set):
-                    migrated = np.zeros(len(refreshed), dtype=bool)
-                    positions = refreshed.transfer_positions(rows, cols)
-                    survived = positions >= 0
-                    migrated[positions[survived]] = modified[survived]
-                    modified = migrated
+                positions = refreshed.remap_positions(rows, cols)
+                if len(refreshed) != len(candidate_set):
+                    grown = np.zeros(len(refreshed), dtype=bool)
+                    grown[positions] = modified
+                    modified = grown
                     engine.set_candidates(refreshed)
                     rows, cols = refreshed.rows, refreshed.cols
                     edge_values = engine.edge_values

@@ -57,8 +57,6 @@ def run(
     panels=PANELS,
     backend: str = "auto",
     candidates: "str | None" = None,
-    block_size: "int | None" = None,
-    block_seed: int = 0,
     campaign_checkpoint: "Path | str | None" = None,
     workers: int = 1,
     scheduler: bool = False,
@@ -68,15 +66,11 @@ def run(
 
     ``backend`` picks the surrogate engine for every attack and
     ``candidates`` an optional candidate-pair strategy
-    (``"target_incident"``/``"two_hop"``/``"adaptive"``/``"block"``;
-    ``None`` keeps the exact legacy full-pair decision variables).  At
-    large n both matter: the sparse engine removes the O(n³) forward, and
-    a pruned candidate set removes the O(n²) decision-variable arrays —
-    the combination is what lets the sweep run at scales the dense
-    pipeline cannot hold in memory.  ``block_size``/``block_seed``
-    parametrise the ``"block"`` strategy (they enter each job's content
-    hash, keeping block sweeps checkpoint-resumable) and are ignored
-    otherwise.
+    (``"target_incident"``/``"two_hop"``/``"adaptive"``; ``None`` keeps the
+    exact legacy full-pair decision variables).  At large n both matter:
+    the sparse engine removes the O(n³) forward, and a pruned candidate set
+    removes the O(n²) decision-variable arrays — the combination is what
+    lets the sweep run at scales the dense pipeline cannot hold in memory.
 
     ``campaign_checkpoint`` names a directory: each panel's campaign then
     persists completed jobs to ``fig4_<panel>.json`` there, and an
@@ -96,12 +90,6 @@ def run(
     seeds = SeedSequenceFactory(seed)
     detector = OddBall()
     method_params = attack_suite_params(scale)
-    block_params: dict[str, int] = {}
-    if candidates == "block":
-        if block_size is not None:
-            block_params["block_size"] = int(block_size)
-        if block_seed:
-            block_params["block_seed"] = int(block_seed)
     results = []
     for dataset_name, paper_targets in panels:
         dataset = load_experiment_graph(dataset_name, scale, seeds)
@@ -125,7 +113,7 @@ def run(
             for method_name, params in method_params.items():
                 job = AttackJob.make(
                     method_name, targets, budgets[-1],
-                    candidates=candidates, **params, **block_params,
+                    candidates=candidates, **params,
                 )
                 methods[method_name] = job
                 unique_jobs.setdefault(job.job_id, job)
@@ -184,8 +172,6 @@ def run(
         "seed": seed,
         "backend": backend,
         "candidates": candidates,
-        "block_size": block_size,
-        "block_seed": block_seed,
         "workers": workers,
         "panels": results,
     }

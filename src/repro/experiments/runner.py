@@ -101,8 +101,6 @@ def run_experiment(
     output_dir: "Path | None" = None,
     backend: str = "auto",
     candidates: "str | None" = None,
-    block_size: "int | None" = None,
-    block_seed: int = 0,
     campaign_checkpoint: "Path | None" = None,
     workers: int = 1,
     store_datasets: bool = False,
@@ -127,9 +125,6 @@ def run_experiment(
         kwargs["backend"] = backend
     if "candidates" in parameters:
         kwargs["candidates"] = candidates
-    if "block_size" in parameters and candidates == "block":
-        kwargs["block_size"] = block_size
-        kwargs["block_seed"] = block_seed
     if "campaign_checkpoint" in parameters and campaign_checkpoint is not None:
         kwargs["campaign_checkpoint"] = campaign_checkpoint
     if "workers" in parameters and workers != 1:
@@ -178,21 +173,10 @@ def main(argv: "list[str] | None" = None) -> int:
                              "drivers build picks it up")
     parser.add_argument("--candidates",
                         choices=["full", "target_incident", "two_hop",
-                                 "adaptive", "adaptive_gradient", "block"],
+                                 "adaptive", "adaptive_gradient"],
                         default=None,
                         help="candidate-pair strategy for the attack-driven "
-                             "figures (default: legacy full-pair variables); "
-                             "'block' is the PRBCD random block with "
-                             "gradient resampling, O(block-size) memory "
-                             "regardless of n")
-    parser.add_argument("--block-size", type=int, default=None,
-                        help="size cap of the 'block' candidate strategy "
-                             "(default: budget-scaled via "
-                             "repro.attacks.candidates.default_block_size)")
-    parser.add_argument("--block-seed", type=int, default=0,
-                        help="sampling seed of the 'block' strategy; part "
-                             "of each job's content hash, so reruns and "
-                             "checkpoint resumes reproduce the same blocks")
+                             "figures (default: legacy full-pair variables)")
     parser.add_argument("--campaign-checkpoint", type=Path, default=None,
                         help="directory for resumable per-panel campaign "
                              "checkpoints (campaign-driven sweeps only)")
@@ -259,8 +243,6 @@ def main(argv: "list[str] | None" = None) -> int:
                 output_dir=args.output,
                 backend=args.backend,
                 candidates=args.candidates,
-                block_size=args.block_size,
-                block_seed=args.block_seed,
                 campaign_checkpoint=args.campaign_checkpoint,
                 workers=args.workers,
                 store_datasets=args.store_datasets,

@@ -7,8 +7,6 @@ Usage::
     python -m repro.store recipe-hash blogcatalog-full --scale 0.02
     python -m repro.store campaign blogcatalog-full --budget 5 --workers 4
     python -m repro.store campaign blogcatalog-full --workers 4 --scheduler
-    python -m repro.store campaign blogcatalog-full --budget 5 \\
-        --candidates block --block-size 65536 --block-seed 1
     python -m repro.store campaign blogcatalog-full --workers 4 \\
         --scheduler --telemetry traces/run1
 
@@ -16,9 +14,8 @@ Usage::
 store; ``info`` prints its manifest; ``recipe-hash`` prints only the digest
 (CI uses it as a cache key); ``campaign`` runs an attack campaign
 (``--attack``, default GradMaxSearch; ``--candidates`` picks the
-decision-variable strategy, with ``block`` the PRBCD random block that keeps
-memory O(block-size) on the *-full stores) over the top-scoring OddBall
-targets end-to-end through the parallel executor,
+decision-variable strategy) over the top-scoring OddBall targets end-to-end
+through the parallel executor,
 with every worker opening the memory-mapped store via a ``store``-kind
 :class:`~repro.oddball.surrogate.EngineSpec` (``--scheduler`` swaps the
 static shards for the work-stealing queue of
@@ -131,20 +128,11 @@ def _cmd_campaign(args) -> int:
 
     store = _resolve_store(args)
     targets = store.top_targets(args.targets)
-    params: dict[str, int] = {}
-    if args.candidates == "block":
-        if args.block_size is not None:
-            params["block_size"] = args.block_size
-        if args.block_seed:
-            params["block_seed"] = args.block_seed
-    elif args.block_size is not None or args.block_seed:
-        raise SystemExit("--block-size/--block-seed need --candidates block")
     jobs = grid_jobs(
         args.attack,
         [[t] for t in targets],
         budgets=[args.budget],
         candidates=args.candidates,
-        **params,
     )
     campaign = build_campaign(
         store, workers=args.workers, backend="sparse", kernels=args.kernels,
@@ -213,19 +201,8 @@ def main(argv: "list[str] | None" = None) -> int:
                           help="attack registry name for the job grid")
     campaign.add_argument("--candidates", default="target_incident",
                           choices=["full", "target_incident", "two_hop",
-                                   "adaptive", "adaptive_gradient", "block"],
-                          help="candidate-pair strategy; 'block' is the "
-                               "PRBCD random block (O(block-size) memory "
-                               "regardless of n — the only strategy that "
-                               "runs unconstrained attacks on *-full "
-                               "stores)")
-    campaign.add_argument("--block-size", type=int, default=None,
-                          help="'block' strategy size cap (default: "
-                               "budget-scaled)")
-    campaign.add_argument("--block-seed", type=int, default=0,
-                          help="'block' strategy sampling seed (content-"
-                               "hashed into each job, so checkpoints "
-                               "resume the exact same blocks)")
+                                   "adaptive", "adaptive_gradient"],
+                          help="candidate-pair strategy")
     campaign.add_argument("--checkpoint", type=Path, default=None,
                           help="resumable campaign checkpoint file")
     campaign.add_argument("--kernels", choices=["auto", "numpy", "compiled"],

@@ -7,7 +7,7 @@ store → engine → campaign → executor → scheduler:
   monotonic start/duration, JSON-primitive attributes), instant
   **events** (scheduler lease claim/steal/heartbeat/requeue, store
   opens) and accumulated **counters** (per-kernel call counts +
-  cumulative ns, candidate-set admissions/evictions);
+  cumulative ns, candidate-set admissions);
 * records land in append-only JSONL :class:`TelemetrySink` files — one
   per worker, torn-write tolerant exactly like the campaign
   :class:`~repro.attacks.campaign.CheckpointStore` — and

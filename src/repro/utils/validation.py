@@ -7,6 +7,8 @@ chain them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -57,3 +59,34 @@ def check_probability(p: float, name: str = "probability") -> float:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {p}")
     return p
+
+
+def check_finite(
+    value: float,
+    name: str,
+    *,
+    low: "float | None" = None,
+    high: "float | None" = None,
+    positive: bool = False,
+) -> float:
+    """Require a finite real number in ``[low, high]`` (and ``> 0`` if ``positive``).
+
+    NaN compares false against every bound, so a plain range check lets it
+    through; this helper rejects NaN and ±inf before the range is checked.
+    """
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise TypeError(
+            f"{name} must be a real number, got {type(value).__name__}"
+        ) from None
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if positive and value <= 0.0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    if (low is not None and value < low) or (high is not None and value > high):
+        raise ValueError(
+            f"{name} must lie in [{low if low is not None else '-inf'}, "
+            f"{high if high is not None else 'inf'}], got {value}"
+        )
+    return value

@@ -1,7 +1,6 @@
 """Reflection audits: engine API parity and parity-test coverage."""
 
 from repro.analysis import (
-    audit_block_parity_coverage,
     audit_engine_api,
     audit_kernel_parity_coverage,
     audit_parity_coverage,
@@ -90,45 +89,6 @@ class TestKernelParityCoverageAudit:
         findings = audit_kernel_parity_coverage(test_paths=[module])
         named = " ".join(f.message for f in findings)
         assert "toggle_batch" in named
-
-
-class TestBlockParityCoverageAudit:
-    def test_live_test_suite_covers_every_shared_engine_attack(self):
-        assert audit_block_parity_coverage() == []
-
-    def test_empty_test_set_reports_every_attack(self):
-        from repro.attacks.campaign import SHARED_ENGINE_ATTACKS
-
-        findings = audit_block_parity_coverage(test_paths=[])
-        assert len(findings) == len(SHARED_ENGINE_ATTACKS)
-        assert all(f.rule == "block-parity-coverage" for f in findings)
-        named = " ".join(f.message for f in findings)
-        for attack_name in SHARED_ENGINE_ATTACKS:
-            assert attack_name in named
-
-    def test_plain_parity_class_does_not_count(self, tmp_path):
-        """Backend-parity coverage must not satisfy the block gate."""
-        module = tmp_path / "test_other.py"
-        module.write_text(
-            "class TestBinarizedBackendParity:\n"
-            "    def test_it(self):\n"
-            "        BinarizedAttack()\n"
-        )
-        findings = audit_block_parity_coverage(test_paths=[module])
-        named = " ".join(f.message for f in findings)
-        assert "binarizedattack" in named
-
-    def test_block_parity_class_counts(self, tmp_path):
-        partial = tmp_path / "test_partial.py"
-        partial.write_text(
-            "class TestBlockDegenerateParity:\n"
-            "    def test_it(self):\n"
-            "        BinarizedAttack()\n"
-        )
-        findings = audit_block_parity_coverage(test_paths=[partial])
-        missing = {f.message.split("'")[1] for f in findings}
-        assert "binarizedattack" not in missing
-        assert "random" in missing
 
 
 def test_run_audits_is_clean_on_this_repo():

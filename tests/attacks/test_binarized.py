@@ -38,6 +38,27 @@ class TestConstruction:
         with pytest.raises(ValueError):
             BinarizedAttack(init=1.5)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"lambdas": [float("nan")]},
+            {"lambdas": [float("inf")]},
+            {"lr": float("nan")},
+            {"lr": float("inf")},
+            {"lr": 0.0},
+            {"floor": float("nan")},
+            {"floor": float("inf")},
+            {"floor": 0.0},
+            {"init": float("nan")},
+        ],
+        ids=repr,
+    )
+    def test_rejects_non_finite_or_out_of_range_parameters(self, kwargs):
+        """NaN slips past plain range checks and made the attack return no
+        flips without complaint; reject it (and ±inf) at construction."""
+        with pytest.raises(ValueError):
+            BinarizedAttack(**kwargs)
+
 
 class TestAttackInvariants:
     def test_budget_respected_at_every_level(self, attack_setup):

@@ -252,6 +252,34 @@ class TestCampaignResume:
         for a, b in zip(resumed, fresh):
             assert a.flips_by_budget == b.flips_by_budget
 
+    @pytest.mark.parametrize(
+        "flips, budget_key",
+        [([[1, 999]], None), ([[3, 2]], None), ([[-1, 4]], None), ([], "3")],
+        ids=["out-of-range", "non-canonical", "negative", "budget-key"],
+    )
+    def test_out_of_contract_record_is_skipped(
+        self, graph_and_targets, tmp_path, caplog, flips, budget_key
+    ):
+        """A hand-edited record naming flips that do not exist on this graph
+        (or a budget beyond its job's) must cost one job, never be resumed."""
+        graph, targets = graph_and_targets
+        jobs = grid_jobs("gradmaxsearch", [[t] for t in targets[:2]], budgets=[2],
+                         candidates="target_incident")
+        checkpoint = tmp_path / "campaign.json"
+        AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
+        lines = checkpoint.read_text().splitlines()
+        record = json.loads(lines[-1])
+        record["flips_by_budget"][budget_key or "2"] = flips
+        lines[-1] = json.dumps(record)
+        checkpoint.write_text("\n".join(lines) + "\n")
+        with caplog.at_level("WARNING"):
+            resumed = AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
+        assert "unreadable entry" in caplog.text
+        fresh = AttackCampaign(graph).run(jobs)
+        assert resumed.resumed_jobs == 1
+        for a, b in zip(resumed, fresh):
+            assert a.flips_by_budget == b.flips_by_budget
+
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_failed_job_leaves_engine_clean(self, graph_and_targets, backend):
         graph, targets = graph_and_targets
@@ -312,6 +340,8 @@ class TestJobSpecs:
             AttackJob.make("nope", [0], 1)
         with pytest.raises(ValueError, match="strategy"):
             AttackJob.make("gradmaxsearch", [0], 1, candidates="bogus")
+        with pytest.raises(ValueError, match="strategy"):
+            AttackJob.make("gradmaxsearch", [0], 1, candidates="block")
 
     def test_every_registered_attack_is_job_buildable(self):
         # the campaign resolves repro.attacks.ATTACK_REGISTRY lazily — a

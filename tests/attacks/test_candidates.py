@@ -1,5 +1,7 @@
 """Tests for the CandidateSet abstraction."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -86,9 +88,15 @@ class TestBuild:
         assert candidate_set.n == small_er_graph.number_of_nodes
         assert len(candidate_set) > 0
 
-    def test_unknown_strategy(self, small_er_graph):
+    @pytest.mark.parametrize("strategy", ["everything", "block"])
+    def test_unknown_strategy(self, small_er_graph, strategy):
         with pytest.raises(ValueError, match="unknown candidate strategy"):
-            CandidateSet.build("everything", small_er_graph, [0])
+            CandidateSet.build(strategy, small_er_graph, [0])
+
+    def test_strategy_catalogue(self):
+        assert CANDIDATE_STRATEGIES == (
+            "full", "target_incident", "two_hop", "adaptive", "adaptive_gradient",
+        )
 
     def test_targets_required_except_full(self, small_er_graph):
         assert CandidateSet.build("full", small_er_graph).is_full
@@ -197,6 +205,28 @@ class TestGradientGrowth:
             # remap (the attack-state contract) must succeed on every pair
             grown.remap_positions(current.rows, current.cols)
             current = grown
+        # ...and must refuse a pair the refreshed set does not hold
+        with pytest.raises(ValueError, match="not all members"):
+            candidate_set.remap_positions(current.rows, current.cols)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["drop", "swap"])
+    @pytest.mark.parametrize("attack_name", ["gradmaxsearch", "binarizedattack"])
+    def test_attacks_reject_a_refresh_that_drops_a_pair(
+        self, small_ba_graph, attack_name, swap
+    ):
+        """Sets only grow: an attack must raise, not re-initialise state, when
+        a refresh drops a pair — also when it admits another at equal size."""
+        from repro.attacks import ATTACK_REGISTRY
+
+        targets = [0, 1]
+        base = CandidateSet.target_incident(small_ba_graph.number_of_nodes, targets)
+        stub = _DroppingCandidateSet(
+            n=base.n, rows=base.rows, cols=base.cols, swap=swap
+        )
+        attack = ATTACK_REGISTRY[attack_name]
+        attack = attack(iterations=20) if attack_name == "binarizedattack" else attack()
+        with pytest.raises(ValueError, match="not all members"):
+            attack.attack(small_ba_graph, targets, budget=3, candidates=stub)
 
     def test_admissions_capped_and_gradient_ranked(self):
         from repro.attacks.candidates import AdaptiveCandidateSet
@@ -257,4 +287,98 @@ class TestGradientGrowth:
             dense.pair_gradient(rows, cols),
             sparse_engine.pair_gradient(rows, cols),
             rtol=1e-9, atol=1e-12,
+        )
+
+
+def _adaptive_schedule(graph, growth, seed=0, backend="sparse", kernels="numpy"):
+    """Run a seeded 6-step flip/refresh schedule from targets {0, 1, 2},
+    asserting the grow-only invariants; returns the per-step pair keys."""
+    from repro.attacks.candidates import AdaptiveCandidateSet
+    from repro.oddball.surrogate import SurrogateEngine
+
+    n, cap = graph.number_of_nodes, 8
+    current = AdaptiveCandidateSet.start(n, [0, 1, 2], growth=growth, admit_cap=cap)
+    kwargs = {"kernels": kernels} if backend == "sparse" else {}
+    engine = SurrogateEngine.create(
+        sparse.csr_matrix(graph.adjacency) if backend == "sparse" else graph.adjacency,
+        [0, 1, 2], current, backend=backend, **kwargs,
+    )
+    picker, history, flipped = np.random.default_rng(seed), [], set()
+    for _ in range(6):
+        index = int(picker.integers(len(current)))
+        pair = (int(current.rows[index]), int(current.cols[index]))
+        engine.apply_flip(*pair)
+        flipped.add(pair)
+        grown = current.refresh([pair], engine)
+        engine.set_candidates(grown)
+        assert current.pair_set() | flipped <= grown.pair_set()
+        assert growth == "adjacency" or len(grown) - len(current) <= cap
+        keys = grown.rows * n + grown.cols
+        assert np.all(np.diff(keys) > 0)  # canonical order, no duplicates
+        positions = grown.remap_positions(current.rows, current.cols)
+        assert np.array_equal(keys[positions], current.rows * n + current.cols)
+        history.append(keys)
+        current = grown
+    return history
+
+
+class TestAdaptiveRefreshSchedule:
+    """Both adaptive growth policies only grow, keep every landed flip, stay
+    canonical, and replay identically whichever engine ranks admissions."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("growth", ["adjacency", "gradient"])
+    def test_seeded_schedule_holds_every_invariant(self, small_ba_graph, growth, seed):
+        _adaptive_schedule(small_ba_graph, growth, seed=seed + 10)
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"backend": "dense"}, {"kernels": "compiled"}, {}],
+        ids=["dense", "compiled", "rerun"],
+    )
+    def test_gradient_sequence_is_engine_independent(self, small_ba_graph, config):
+        from repro.kernels import compiled_available
+
+        if config.get("kernels") == "compiled" and not compiled_available():
+            pytest.skip("compiled backend unavailable on this host")
+        ref = _adaptive_schedule(small_ba_graph, "gradient", seed=7)
+        other = _adaptive_schedule(small_ba_graph, "gradient", seed=7, **config)
+        assert all(np.array_equal(a, b) for a, b in zip(ref, other))
+        moved = _adaptive_schedule(small_ba_graph, "gradient", seed=8, **config)
+        assert not all(np.array_equal(a, b) for a, b in zip(ref, moved))
+
+
+class TestRemapPositions:
+    @pytest.mark.parametrize(
+        "rows, cols, expected",
+        [([0, 2, 6], [3, 5, 7], [0, 2, 3]), ([], [], []), ([1], [3], None),
+         ([7], [8], None), ([0, 1], [3, 5], None)],
+        ids=["members", "empty", "inside-range", "past-the-end", "one-of-two"],
+    )
+    def test_members_map_to_their_index_and_others_raise(self, rows, cols, expected):
+        held = CandidateSet.from_pairs(9, [(0, 3), (1, 4), (2, 5), (6, 7)])
+        rows, cols = np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
+        if expected is None:
+            with pytest.raises(ValueError, match="not all members"):
+                held.remap_positions(rows, cols)
+        else:
+            assert held.remap_positions(rows, cols).tolist() == expected
+
+
+@dataclass(frozen=True, eq=False)
+class _DroppingCandidateSet(CandidateSet):
+    """Breaks the grow-only contract: each refresh drops the first pair and,
+    with ``swap``, admits the first outside pair so |C| stays the same."""
+
+    swap: bool = False
+
+    def refresh(self, flips, engine=None):
+        pairs = self.pairs()[1:]
+        if self.swap:
+            held = set(self.pairs())
+            pairs.append(next(p for p in CandidateSet.full(self.n).pairs()
+                              if p not in held))
+        grown = CandidateSet.from_pairs(self.n, pairs)
+        return _DroppingCandidateSet(
+            n=self.n, rows=grown.rows, cols=grown.cols, swap=self.swap
         )

@@ -80,3 +80,12 @@ class TestGradMaxSearch:
             GradMaxSearch().attack(graph, targets, budget=-1)
         with pytest.raises(TypeError):
             GradMaxSearch().attack(graph, targets, budget=1.5)
+
+    @pytest.mark.parametrize(
+        "floor", [float("nan"), float("inf"), 0.0, -1.0], ids=repr
+    )
+    def test_rejects_bad_floor_at_construction(self, floor):
+        """NaN slipped past the in-attack ``floor <= 0`` check and produced no
+        flips without complaint; every bad floor now fails in __init__."""
+        with pytest.raises(ValueError, match="floor"):
+            GradMaxSearch(floor=floor)

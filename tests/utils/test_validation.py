@@ -6,6 +6,7 @@ import pytest
 from repro.utils.validation import (
     check_adjacency,
     check_budget,
+    check_finite,
     check_probability,
     check_square,
     check_symmetric,
@@ -71,3 +72,16 @@ class TestScalars:
         assert check_probability(0) == 0.0
         with pytest.raises(ValueError):
             check_probability(1.2)
+
+    def test_finite(self):
+        assert check_finite(2, "x") == 2.0
+        assert check_finite(0.0, "x", low=0.0, high=1.0) == 0.0
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="finite"):
+                check_finite(bad, "x")
+        with pytest.raises(ValueError, match="positive"):
+            check_finite(0.0, "x", positive=True)
+        with pytest.raises(ValueError, match=r"\[0.0, 1.0\]"):
+            check_finite(1.5, "x", low=0.0, high=1.0)
+        with pytest.raises(TypeError):
+            check_finite("a", "x")
