@@ -56,13 +56,13 @@ from repro.attacks.candidates import CANDIDATE_STRATEGIES
 from repro.attacks.continuous import ContinuousA
 from repro.attacks.gradmax import GradMaxSearch
 from repro.graph.graph import Graph
-from repro.graph.sparse import to_sparse
+from repro.graph.sparse import content_digest, to_sparse
 from repro.oddball.regression import fit_power_law
 from repro.oddball.scores import rank_positions, score_from_features
 from repro.kernels import validate_kernels
 from repro.oddball.surrogate import SurrogateEngine, resolve_backend, validate_backend
 from repro.utils.logging import get_logger
-from repro.utils.validation import check_adjacency, check_budget
+from repro.utils.validation import check_adjacency, check_budget, check_finite
 
 __all__ = [
     "AttackCampaign",
@@ -204,7 +204,7 @@ class AttackJob:
             )
         targets = tuple(int(t) for t in targets)
         if weights is not None:
-            weights = tuple(float(w) for w in weights)
+            weights = tuple(check_finite(w, "weight") for w in weights)
             if len(weights) != len(targets):
                 raise ValueError("weights must align with targets")
         return cls(
@@ -473,79 +473,31 @@ def _normalize_graph(graph):
     if hasattr(graph, "adjacency_csr"):
         return to_sparse(graph.adjacency_csr())
     if sparse.issparse(graph):
-        normalized = to_sparse(graph)
-        # to_sparse copies untagged input, dropping instance attributes —
-        # re-apply the fingerprint token so a worker normalising a spec-
-        # round-tripped graph derives the same checkpoint identity as the
-        # parent that captured it.
-        token = getattr(graph, "_repro_fingerprint", None)
-        if token is not None and normalized is not graph:
-            normalized._repro_fingerprint = token
-        return normalized
+        return to_sparse(graph)
     return check_adjacency(np.asarray(graph, dtype=np.float64))
 
 
 def graph_fingerprint(adjacency, backend: str) -> str:
-    """Cheap content hash tying a checkpoint to one (graph, backend).
+    """Content hash tying a checkpoint to one (graph, backend).
 
-    The parent executor, every worker and the serial campaign all derive
-    the same fingerprint from the same graph, which is what lets shard
-    files and the merged checkpoint validate against each other.
+    ``sha1(f"{backend}:{n}:" + content_digest)``, where the content digest
+    is :func:`repro.graph.sparse.content_digest` of the adjacency.  The
+    parent executor, every worker and the serial campaign all derive the
+    same fingerprint from the same graph, whichever way it was carried
+    (store mapping, byte payload, int32 or int64 indices), which is what
+    lets shard files and checkpoints validate against each other.
 
-    A matrix carrying a ``_repro_fingerprint`` token (a GraphStore's CSR,
-    stamped with the store's content-addressing digest) is fingerprinted
-    from the token in O(1) — hashing the raw arrays would page the whole
-    memory-mapped graph in just to name a checkpoint.  Token- and
-    byte-derived fingerprints differ even for identical graphs, so a
-    checkpoint written against a store resumes against the same store.
+    A matrix carrying a ``_repro_fingerprint`` stamp (a GraphStore's CSR,
+    stamped with the content digest its manifest recorded at build time)
+    skips the hash: re-hashing would page the whole memory-mapped graph in
+    just to name a checkpoint.
     """
-    digest = hashlib.sha1()
-    digest.update(f"{backend}:{adjacency.shape[0]}:".encode())
-    token = getattr(adjacency, "_repro_fingerprint", None)
-    if token is not None:
-        digest.update(str(token).encode())
-    elif sparse.issparse(adjacency):
-        coo = adjacency.tocoo()
-        digest.update(np.ascontiguousarray(coo.row).tobytes())
-        digest.update(np.ascontiguousarray(coo.col).tobytes())
-    else:
-        digest.update(np.ascontiguousarray(adjacency).tobytes())
-    return digest.hexdigest()
-
-
-def checkpoint_aliases(adjacency, fingerprint: str) -> frozenset:
-    """Alias fingerprints a checkpoint for ``adjacency`` may legitimately carry.
-
-    Store-backed CSRs are fingerprinted from the store's content-addressing
-    digest (O(1)); the byte-identical detached payload hashes its coo
-    arrays instead — two names for one graph.  The store layer records that
-    equivalence in a per-cache-directory alias table
-    (:func:`repro.store.fingerprints.record_alias_group`); this helper
-    looks the table up from the campaign side so
-    :meth:`CheckpointStore.load` can accept either name.
-
-    Consulted tables: the alias table next to the matrix's originating
-    store (matrices tagged ``_repro_store_path`` by
-    :meth:`~repro.store.GraphStore.csr`), then the default store cache
-    directory (``$REPRO_STORE_CACHE`` or ``./.repro-store-cache``) — which
-    is how a *payload-backed* campaign, holding an untagged matrix, still
-    finds aliases recorded at store-build time.  Missing tables simply
-    yield no aliases; resume then requires exact fingerprint equality,
-    which is the pre-alias behaviour.
-    """
-    try:
-        from repro.store.fingerprints import alias_fingerprints
-    except ImportError:  # pragma: no cover - store layer always present
-        return frozenset()
-    roots: "list[Path | None]" = []
-    store_path = getattr(adjacency, "_repro_store_path", None)
-    if store_path is not None:
-        roots.append(Path(store_path).parent)
-    roots.append(None)  # the default cache directory
-    aliases: set = set()
-    for root in roots:
-        aliases |= alias_fingerprints(fingerprint, cache_dir=root)
-    return frozenset(aliases) - {fingerprint}
+    content = getattr(adjacency, "_repro_fingerprint", None)
+    if content is None:
+        content = content_digest(adjacency)
+    return hashlib.sha1(
+        f"{backend}:{adjacency.shape[0]}:{content}".encode()
+    ).hexdigest()
 
 
 def validate_jobs(jobs: Iterable[AttackJob], n: int) -> list[AttackJob]:
@@ -601,16 +553,6 @@ class CheckpointStore:
     Appends are O(1) per job (never a rewrite); a trailing line torn by a
     hard kill is skipped on load and overwritten safely on the next append,
     costing exactly that one job.
-
-    ``aliases`` are additional fingerprints accepted (but never written) by
-    :meth:`load`: a GraphStore's CSR is fingerprinted from its O(1)
-    content-addressing token while the byte-identical detached payload is
-    fingerprinted from its coo arrays, so the *same graph* legitimately
-    carries two names.  The store layer records that equivalence in a
-    fingerprint alias table (:mod:`repro.store.fingerprints`), and passing
-    the alias set here lets a store-backed run resume a payload-backed
-    checkpoint of the same graph — and vice versa — instead of refusing it
-    as a different graph.
     """
 
     def __init__(
@@ -619,13 +561,11 @@ class CheckpointStore:
         fingerprint: str,
         backend: str,
         n: int,
-        aliases: Iterable[str] = (),
     ):
         self.path = Path(path)
         self.fingerprint = fingerprint
         self.backend = backend
         self.n = int(n)
-        self.aliases = frozenset(aliases) - {fingerprint}
 
     def exists(self) -> bool:
         """Whether the checkpoint file is present on disk."""
@@ -671,7 +611,7 @@ class CheckpointStore:
                 f"checkpoint {self.path} has unsupported version "
                 f"{header.get('version')!r}"
             )
-        if header.get("fingerprint") not in ({self.fingerprint} | self.aliases):
+        if header.get("fingerprint") != self.fingerprint:
             raise ValueError(
                 f"checkpoint {self.path} was written for a different "
                 "graph/backend; delete it or point the campaign elsewhere"
@@ -1047,5 +987,4 @@ class AttackCampaign:
             self._fingerprint(),
             self.backend,
             self.n,
-            aliases=checkpoint_aliases(self._original, self._fingerprint()),
         )

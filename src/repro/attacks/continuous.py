@@ -30,7 +30,7 @@ from repro.attacks.constraints import filter_valid_flips_engine
 from repro.kernels import validate_kernels
 from repro.oddball.surrogate import SurrogateEngine, resolve_backend, validate_backend
 from repro.utils.logging import get_logger
-from repro.utils.validation import check_budget
+from repro.utils.validation import check_budget, check_finite
 
 __all__ = ["ContinuousA"]
 
@@ -62,10 +62,10 @@ class ContinuousA(StructuralAttack):
                  floor: float = 0.5, backend: str = "auto", kernels: str = "auto"):
         if max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-        self.lr = lr
+        self.lr = check_finite(lr, "lr", positive=True)
         self.max_iter = max_iter
-        self.tol = tol
-        self.floor = floor
+        self.tol = check_finite(tol, "tol", low=0.0)
+        self.floor = check_finite(floor, "floor", positive=True)
         self.backend = validate_backend(backend)
         self.kernels = validate_kernels(kernels)
 

@@ -62,7 +62,6 @@ from repro.attacks.campaign import (
     CheckpointStore,
     JobOutcome,
     _normalize_graph,
-    checkpoint_aliases,
     graph_fingerprint,
     validate_jobs,
 )
@@ -504,10 +503,7 @@ class ParallelCampaignExecutor:
         return shard_dir / f"{stem}.shard{index}"
 
     def _store(self, path: Path) -> CheckpointStore:
-        return CheckpointStore(
-            path, self._fingerprint, self.backend, self.n,
-            aliases=checkpoint_aliases(self._original, self._fingerprint),
-        )
+        return CheckpointStore(path, self._fingerprint, self.backend, self.n)
 
     def _leftover_shards(self) -> "list[Path]":
         # Literal prefix match, NOT a glob: a checkpoint named e.g.

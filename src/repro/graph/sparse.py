@@ -15,6 +15,7 @@ verified bit-for-bit against the dense implementations in the tests.
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "SparseGraphView",
     "egonet_features_sparse",
     "anomaly_scores_sparse",
+    "content_digest",
     "to_sparse",
 ]
 
@@ -75,6 +77,33 @@ def to_sparse(graph: "Graph | np.ndarray | sparse.spmatrix") -> sparse.csr_matri
         raise ValueError("adjacency must have a zero diagonal")
     matrix._repro_validated = True
     return matrix
+
+
+#: Index entries cast to int64 per hash update in :func:`content_digest`.
+_DIGEST_CHUNK = 1 << 20
+
+
+def content_digest(adjacency) -> str:
+    """SHA-1 hex digest of an adjacency's content: the graph's identity.
+
+    A sparse matrix hashes its coo ``row`` then ``col`` arrays cast to
+    little-endian int64, so int32- and int64-indexed copies of one graph
+    agree; the casts run in fixed-size chunks, so hashing costs no more
+    than one chunk on top of the coo row array.  A dense array hashes its
+    bytes.  :func:`repro.store.build_store` records this digest in the
+    store manifest, and the store's CSR carries it as
+    ``_repro_fingerprint`` so campaigns never re-hash a mapped graph.
+    """
+    digest = hashlib.sha1()
+    if sparse.issparse(adjacency):
+        coo = adjacency.tocoo()
+        for index in (coo.row, coo.col):
+            for start in range(0, index.size, _DIGEST_CHUNK):
+                chunk = index[start : start + _DIGEST_CHUNK]
+                digest.update(np.ascontiguousarray(chunk, dtype="<i8"))
+    else:
+        digest.update(np.ascontiguousarray(adjacency))
+    return digest.hexdigest()
 
 
 #: Intermediate-product entries allowed per row block of the chunked

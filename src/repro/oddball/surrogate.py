@@ -548,13 +548,6 @@ class EngineSpec(NamedTuple):
         Log-clamp floor the engine was (or will be) configured with.
     ridge : float
         Ridge term of the closed-form power-law fit.
-    fingerprint : str or None
-        Graph-identity token (``_repro_fingerprint``) carried across the
-        spec round-trip.  A store-tagged CSR fingerprints its checkpoints
-        by this token; without re-applying it in :meth:`to_graph`, a
-        worker rebuilding from byte payload would derive a *different*
-        checkpoint fingerprint than its parent and every shard merge
-        would be rejected.
     kernels : str
         The *requested* hot-kernel flag (``auto``/``numpy``/``compiled``
         — see :mod:`repro.kernels`).  Unlike ``backend``, this is
@@ -571,7 +564,6 @@ class EngineSpec(NamedTuple):
     payload: tuple
     floor: float
     ridge: float
-    fingerprint: "str | None" = None
     kernels: str = "auto"
 
     @classmethod
@@ -609,9 +601,7 @@ class EngineSpec(NamedTuple):
             kind = "dense"
         return cls(
             backend=resolved, kind=kind, payload=payload,
-            floor=float(floor), ridge=float(ridge),
-            fingerprint=getattr(graph, "_repro_fingerprint", None),
-            kernels=kernels,
+            floor=float(floor), ridge=float(ridge), kernels=kernels,
         )
 
     @classmethod
@@ -633,7 +623,6 @@ class EngineSpec(NamedTuple):
         return cls(
             backend="sparse", kind="store", payload=(str(store.path),),
             floor=float(floor), ridge=float(ridge),
-            fingerprint=f"graph-store:{store.digest}",
             kernels=validate_kernels(kernels),
         )
 
@@ -641,18 +630,16 @@ class EngineSpec(NamedTuple):
         """Materialise the graph payload (ndarray, ``csr_matrix``, or the
         memory-mapped CSR of a ``store``-kind spec).
 
-        A captured :attr:`fingerprint` token is re-applied to the sparse
-        result, so checkpoints a worker writes validate against the
-        parent's regardless of which side carried the graph as bytes.
+        A worker rebuilding a ``csr``-kind payload derives the same
+        checkpoint fingerprint as its parent by hashing the bytes: the
+        fingerprint depends on the graph's content, not on how it was
+        carried (see :func:`repro.attacks.campaign.graph_fingerprint`).
         """
         if self.kind == "dense":
             return np.array(self.payload[0], copy=True)
         if self.kind == "csr":
             data, indices, indptr, shape = self.payload
-            matrix = _sparse.csr_matrix((data, indices, indptr), shape=shape)
-            if self.fingerprint is not None:
-                matrix._repro_fingerprint = self.fingerprint
-            return matrix
+            return _sparse.csr_matrix((data, indices, indptr), shape=shape)
         if self.kind == "store":
             from repro.store import GraphStore
 

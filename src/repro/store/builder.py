@@ -162,19 +162,17 @@ def build_store(
     path = root / f"{recipe['name']}-{digest[:12]}"
     if (path / "manifest.json").exists() and not force:
         store = GraphStore.open(path)
-        if store.digest == digest:
+        if store.digest != digest:
+            raise ValueError(
+                f"store directory {path} holds a different recipe "
+                f"({store.digest[:12]} != {digest[:12]}); remove it to rebuild"
+            )
+        if "fingerprint" in store.manifest:
             _log.debug("store cache hit: %s", path)
-            if (path / "payload-fingerprint.json").exists():
-                # Cheap (sidecar hit): re-record the alias group in case
-                # the cache directory was copied without its table.  Cold
-                # stores skip it — computing the payload fingerprint would
-                # page the whole graph in on every cache hit.
-                store.register_fingerprint_aliases()
             return store
-        raise ValueError(
-            f"store directory {path} holds a different recipe "
-            f"({store.digest[:12]} != {digest[:12]}); remove it to rebuild"
-        )
+        # A store built before manifests recorded the fingerprint is swept
+        # and rebuilt like an aborted build.
+        _log.info("store %s has no fingerprint in its manifest; rebuilding", path)
     if path.exists():
         shutil.rmtree(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -185,7 +183,7 @@ def build_store(
     ):
         keys, planted = _generate_edge_keys(recipe)
         nnz = _write_csr(path, recipe["nodes"], keys)
-        _write_features(path, recipe["nodes"], nnz)
+        fingerprint = _write_features(path, recipe["nodes"], nnz)
     build_seconds = time.perf_counter() - start
 
     manifest = {
@@ -199,6 +197,7 @@ def build_store(
         "planted": planted,
         "recipe": recipe,
         "recipe_hash": digest,
+        "fingerprint": fingerprint,
         "build_seconds": round(build_seconds, 3),
         "validated": True,
     }
@@ -212,12 +211,7 @@ def build_store(
         "built store %s: n=%d m=%d (%.2fs)",
         path, recipe["nodes"], keys.size, build_seconds,
     )
-    store = GraphStore.open(path)
-    # Record the token↔payload fingerprint equivalence while the arrays
-    # are page-hot from the build — checkpoints written against this store
-    # then resume payload-backed runs of the same graph and vice versa.
-    store.register_fingerprint_aliases()
-    return store
+    return GraphStore.open(path)
 
 
 # --------------------------------------------------------------------- #
@@ -400,8 +394,8 @@ def _write_csr(path: Path, n: int, keys: np.ndarray) -> int:
     return int(nnz)
 
 
-def _write_features(path: Path, n: int, nnz: int) -> None:
-    """Precompute and persist the clean egonet features ``(N, E)``.
+def _write_features(path: Path, n: int, nnz: int) -> str:
+    """Persist the clean egonet features ``(N, E)``; return the content digest.
 
     The triangle term of ``E`` costs O(Σ_v deg(v)²) — minutes at the full
     Blogcatalog scale with its multi-thousand-degree hubs.  Paying it once
@@ -410,10 +404,14 @@ def _write_features(path: Path, n: int, nnz: int) -> None:
     validates the freshly written adjacency) and shipping the 2 × n result
     in the store turns every engine construction from the dominant cost of
     a worker into an O(n) memmap read.
+
+    The graph's :func:`~repro.graph.sparse.content_digest` is computed in
+    the same pass, while the arrays are page-hot; the manifest records it
+    as ``"fingerprint"`` so no campaign ever re-hashes the mapped graph.
     """
     from scipy import sparse
 
-    from repro.graph.sparse import egonet_features_sparse
+    from repro.graph.sparse import content_digest, egonet_features_sparse
 
     idx_dtype = index_dtype(n, nnz)
     indptr = np.fromfile(path / "indptr.bin", dtype=idx_dtype)
@@ -429,3 +427,4 @@ def _write_features(path: Path, n: int, nnz: int) -> None:
     features[1] = e_feature
     features.flush()
     del features
+    return content_digest(matrix)

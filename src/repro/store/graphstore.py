@@ -14,20 +14,23 @@ A :class:`GraphStore` removes both: the graph lives on disk as raw
 little-endian CSR component files that are **memory-mapped read-only**
 (`np.memmap(mode="r")`), under a **content-addressed** directory whose name
 includes a hash of the build recipe, next to a JSON manifest recording the
-node/edge counts, array dtypes, the planted-anomaly ground truth and the
-recipe itself.  Opening a store is O(1); the OS pages CSR data in on demand
-and shares the pages between every process that maps the same files — N
-parallel workers pay for ONE copy of the graph, not N.
+node/edge counts, array dtypes, the graph's content fingerprint, the
+planted-anomaly ground truth and the recipe itself.  Opening a store is
+O(1); the OS pages CSR data in on demand and shares the pages between
+every process that maps the same files — N parallel workers pay for ONE
+copy of the graph, not N.
 
 Layout of one store directory (see ``docs/ARCHITECTURE.md`` §Storage
 layer)::
 
     <cache_dir>/<name>-<recipe_hash[:12]>/
-        manifest.json     # schema below, written last (a store without a
-                          # manifest is an aborted build and is rebuilt)
+        manifest.json     # written last (a store without a manifest is
+                          # an aborted build and is rebuilt); records the
+                          # graph's content digest as "fingerprint"
         indptr.bin        # index_dtype[n + 1]
         indices.bin       # index_dtype[nnz], sorted within each row
         data.bin          # float64[nnz], all ones (binary adjacency)
+        features.bin      # float64[2, n], the clean egonet features (N, E)
 
 (``index_dtype`` is int32 while both ``n`` and ``nnz`` fit, int64 beyond —
 one shared dtype so scipy never copies an array to reconcile widths.)
@@ -44,7 +47,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -250,9 +252,11 @@ class GraphStore:
         * ``_repro_validated`` — :func:`repro.graph.sparse.to_sparse`
           returns it as-is instead of copy-validating (the builder validated
           at write time; ``open(verify=True)`` re-checks), and
-        * ``_repro_fingerprint`` — :func:`repro.attacks.campaign.graph_fingerprint`
-          derives the checkpoint fingerprint from the recipe digest instead
-          of hashing 2·m entries,
+        * ``_repro_fingerprint`` — the manifest's content digest, so
+          :func:`repro.attacks.campaign.graph_fingerprint` names the graph
+          in O(1) instead of hashing 2·m mapped entries (the stamp equals
+          what hashing the arrays would give; stores without the manifest
+          key are simply hashed),
 
         and ``has_sorted_indices`` is set so scipy never attempts an
         in-place sort of the read-only buffers.
@@ -264,10 +268,9 @@ class GraphStore:
             )
             matrix.has_sorted_indices = True
             matrix._repro_validated = True
-            matrix._repro_fingerprint = f"graph-store:{self.digest}"
-            # Lets the campaign layer find this store's fingerprint alias
-            # table (checkpoint_aliases) without a global registry.
-            matrix._repro_store_path = str(self.path)
+            fingerprint = self.manifest.get("fingerprint")
+            if fingerprint is not None:
+                matrix._repro_fingerprint = fingerprint
             features = self.features()
             if features is not None:
                 # IncrementalEgonetFeatures picks these up and skips its
@@ -303,64 +306,14 @@ class GraphStore:
         The inverse of :meth:`csr` for comparison purposes: the payload-
         path benchmarks and the store parity tests feed this to the
         pipeline so it behaves exactly like a graph that never touched the
-        store subsystem (re-validated, re-fingerprinted by bytes, features
-        recomputed).
+        store subsystem (re-validated, fingerprinted by hashing its bytes,
+        features recomputed).
         """
         csr = self.csr()
         return sparse.csr_matrix(
             (np.array(csr.data), np.array(csr.indices), np.array(csr.indptr)),
             shape=csr.shape,
         )
-
-    def payload_fingerprint(self) -> str:
-        """The byte-derived fingerprint a payload-backed campaign computes.
-
-        :func:`~repro.attacks.campaign.graph_fingerprint` names this
-        store's CSR from its content-addressing token in O(1); the same
-        graph fed through :meth:`detached_csr` (or built without the store
-        subsystem at all) is named by hashing its coo arrays instead.  This
-        method computes that second name — the one O(m) pass is paid once
-        and cached in a ``payload-fingerprint.json`` sidecar inside the
-        store directory (a sidecar, not a manifest field, so existing
-        stores gain it without a manifest version bump).
-        """
-        sidecar = self.path / "payload-fingerprint.json"
-        try:
-            cached = json.loads(sidecar.read_text())
-            if cached.get("version") == 1:
-                return str(cached["fingerprint"])
-        except (FileNotFoundError, json.JSONDecodeError, KeyError):
-            pass
-        from repro.attacks.campaign import graph_fingerprint
-
-        fingerprint = graph_fingerprint(self.detached_csr(), "sparse")
-        tmp = self.path / f"payload-fingerprint.json.{os.getpid()}.tmp"
-        tmp.write_text(
-            json.dumps({"version": 1, "backend": "sparse",
-                        "fingerprint": fingerprint}) + "\n"
-        )
-        tmp.rename(sidecar)
-        return fingerprint
-
-    def register_fingerprint_aliases(self) -> frozenset:
-        """Record this store's token↔payload fingerprint equivalence.
-
-        Writes the alias group into the ``fingerprint-aliases.json`` table
-        of the cache directory holding this store (see
-        :mod:`repro.store.fingerprints`), so checkpoints written against
-        the store resume payload-backed runs of the same graph and vice
-        versa.  Called automatically at :func:`~repro.store.build_store`
-        time; idempotent.  Returns the recorded group.
-        """
-        from repro.attacks.campaign import graph_fingerprint
-        from repro.store.fingerprints import record_alias_group
-
-        token_fp = graph_fingerprint(self.csr(), "sparse")
-        payload_fp = self.payload_fingerprint()
-        group = frozenset({token_fp, payload_fp})
-        if len(group) > 1:
-            record_alias_group(group, cache_dir=self.path.parent)
-        return group
 
     def degrees(self) -> np.ndarray:
         """Per-node degree vector, O(n) from ``indptr`` (no row scan)."""

@@ -335,6 +335,13 @@ class TestJobSpecs:
         assert back == job
         assert back.job_id == job.job_id
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=repr)
+    def test_rejects_non_finite_weights(self, bad):
+        """A NaN weight would land as non-standard JSON ``NaN`` in the job id
+        hash and in checkpoint records."""
+        with pytest.raises(ValueError, match="finite"):
+            AttackJob.make("gradmaxsearch", [1, 2], 5, weights=[bad, 1.0])
+
     def test_rejects_unknown_attack_and_strategy(self):
         with pytest.raises(ValueError, match="unknown attack"):
             AttackJob.make("nope", [0], 1)

@@ -51,6 +51,26 @@ class TestContinuousA:
         with pytest.raises(ValueError):
             ContinuousA(max_iter=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"lr": float("nan")},
+            {"lr": float("inf")},
+            {"lr": 0.0},
+            {"tol": float("nan")},
+            {"tol": float("inf")},
+            {"tol": -1e-6},
+            {"floor": float("nan")},
+            {"floor": float("inf")},
+            {"floor": 0.0},
+        ],
+        ids=repr,
+    )
+    def test_rejects_non_finite_or_out_of_range_parameters(self, kwargs):
+        """NaN passes plain range checks; reject it (and ±inf) at construction."""
+        with pytest.raises(ValueError):
+            ContinuousA(**kwargs)
+
     def test_no_singletons(self, attack_setup):
         graph, targets = attack_setup
         result = ContinuousA(max_iter=50).attack(graph, targets, budget=10)

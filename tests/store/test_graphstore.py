@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.graph.sparse import egonet_features_sparse, to_sparse
+from repro.graph.sparse import content_digest, egonet_features_sparse, to_sparse
 from repro.store import (
     GraphStore,
     STORE_RECIPES,
@@ -54,6 +54,20 @@ class TestBuild:
         a = store_recipe("er", scale=0.2, seed=1, chunk_edges=1000)
         b = store_recipe("er", scale=0.2, seed=1, chunk_edges=2000)
         assert recipe_hash(a) != recipe_hash(b)
+
+    def test_manifest_without_fingerprint_is_rebuilt(self, store, tmp_path):
+        """A cached store whose manifest predates the fingerprint key is
+        swept and rebuilt, like an aborted build."""
+        built = build_store("blogcatalog", cache_dir=tmp_path, scale=0.3, seed=7)
+        manifest_path = built.path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["fingerprint"]
+        manifest_path.write_text(json.dumps(manifest))
+        (built.path / "stale.tmp").write_text("left by an older build")
+        rebuilt = build_store("blogcatalog", cache_dir=tmp_path, scale=0.3, seed=7)
+        assert rebuilt.path == built.path
+        assert not (rebuilt.path / "stale.tmp").exists()
+        assert rebuilt.manifest["fingerprint"] == store.manifest["fingerprint"]
 
     def test_build_is_deterministic(self, store, tmp_path):
         rebuilt = build_store("blogcatalog", cache_dir=tmp_path, scale=0.3, seed=7)
@@ -138,8 +152,10 @@ class TestMmapDiscipline:
             if segment.size:
                 assert np.all(np.diff(segment) > 0)
 
-    def test_fingerprint_token(self, store):
-        assert store.csr()._repro_fingerprint == f"graph-store:{store.digest}"
+    def test_fingerprint_stamp_is_the_manifest_content_digest(self, store):
+        stamp = store.csr()._repro_fingerprint
+        assert stamp == store.manifest["fingerprint"]
+        assert stamp == content_digest(store.detached_csr())
 
 
 class TestGraphQueries:

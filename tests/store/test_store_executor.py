@@ -11,6 +11,7 @@ from repro.attacks import (
     ParallelCampaignExecutor,
     build_campaign,
 )
+from repro.attacks.campaign import graph_fingerprint
 from repro.oddball.surrogate import EngineSpec, SurrogateEngine
 
 # store / sweep_jobs / assert_outcomes_identical come from tests/conftest.py
@@ -123,12 +124,50 @@ class TestShardTruncation:
         assert not shard.exists()  # merged and removed
 
 
-class TestFingerprintRoundTrip:
+class _ArraysRaise:
+    """A stamped stand-in for the store's CSR: any attribute beyond its
+    shape and stamp (``data``, ``indices``, ``tocoo``, ...) raises."""
+
+    def __init__(self, csr):
+        self.shape = csr.shape
+        self._repro_fingerprint = csr._repro_fingerprint
+
+    def __getattr__(self, name):
+        raise AssertionError(f"fingerprinting touched {name!r}")
+
+
+class TestGraphIdentity:
+    def test_store_and_detached_fingerprints_agree(self, store, memory_graph):
+        payload_fp = graph_fingerprint(memory_graph, "sparse")
+        assert graph_fingerprint(store.csr(), "sparse") == payload_fp
+        # the store side reads the stamp and touches no CSR array
+        assert graph_fingerprint(_ArraysRaise(store.csr()), "sparse") == payload_fp
+
+    def test_index_width_does_not_change_the_fingerprint(self, memory_graph):
+        wide = memory_graph.copy()
+        wide.indices = wide.indices.astype(np.int64)
+        wide.indptr = wide.indptr.astype(np.int64)
+        assert memory_graph.indices.dtype == np.int32
+        assert wide.indices.dtype == np.int64
+        assert graph_fingerprint(wide, "sparse") == graph_fingerprint(
+            memory_graph, "sparse"
+        )
+
+    def test_spec_round_trip_keeps_the_fingerprint(self, store):
+        spec = EngineSpec.from_graph(store.csr(), backend="sparse")
+        assert spec.kind == "csr"
+        assert "fingerprint" not in spec._fields
+        rebuilt = spec.to_graph()
+        assert not hasattr(rebuilt, "_repro_fingerprint")
+        assert graph_fingerprint(rebuilt, "sparse") == graph_fingerprint(
+            store.csr(), "sparse"
+        )
+
     def test_tagged_csr_through_executor_with_checkpoint(self, store, tmp_path, sweep_jobs, assert_outcomes_identical, store_targets):
-        """Passing the store's *tagged CSR* (not the GraphStore) must work:
-        the parent fingerprints by the store token, workers rebuild from a
-        byte payload — the token has to survive the spec round-trip or the
-        shard merge rejects every completed job."""
+        """Passing the store's *stamped CSR* (not the GraphStore) must work:
+        the parent fingerprints from the stamp, workers rebuild from a byte
+        payload and hash it, and both must agree or the shard merge rejects
+        every completed job."""
         jobs = sweep_jobs(store_targets, count=4)
         checkpoint = tmp_path / "campaign.jsonl"
         via_csr = ParallelCampaignExecutor(
@@ -140,9 +179,77 @@ class TestFingerprintRoundTrip:
         resumed = AttackCampaign(store, checkpoint_path=checkpoint).run(jobs)
         assert resumed.resumed_jobs == len(jobs)
 
-    def test_spec_round_trip_preserves_token(self, store):
-        spec = EngineSpec.from_graph(store.csr(), backend="sparse")
-        assert spec.kind == "csr"
-        assert spec.fingerprint == f"graph-store:{store.digest}"
-        rebuilt = spec.to_graph()
-        assert rebuilt._repro_fingerprint == spec.fingerprint
+
+def _assert_no_side_tables(store):
+    """The cache holds the store directory alone, and it holds only the
+    manifest and the four arrays."""
+    assert [p.name for p in store.path.parent.iterdir()] == [store.path.name]
+    assert sorted(p.name for p in store.path.iterdir()) == [
+        "data.bin", "features.bin", "indices.bin", "indptr.bin", "manifest.json",
+    ]
+
+
+class TestCrossBackingResume:
+    """A store-backed and a payload-backed campaign of the same graph share
+    one fingerprint, so each resumes the other's checkpoint."""
+
+    def test_payload_campaign_resumes_store_checkpoint(self, store, memory_graph, tmp_path, sweep_jobs, store_targets):
+        jobs = sweep_jobs(store_targets, count=5, budget=2)
+        checkpoint = tmp_path / "campaign.jsonl"
+        AttackCampaign(
+            store.csr(), backend="sparse", checkpoint_path=checkpoint
+        ).run(jobs)
+        resumed = AttackCampaign(
+            memory_graph, backend="sparse", checkpoint_path=checkpoint
+        ).run(jobs)
+        assert resumed.resumed_jobs == len(jobs)
+        _assert_no_side_tables(store)
+
+    def test_store_campaign_resumes_payload_checkpoint(self, store, memory_graph, tmp_path, sweep_jobs, store_targets):
+        jobs = sweep_jobs(store_targets, count=5, budget=2)
+        checkpoint = tmp_path / "campaign.jsonl"
+        AttackCampaign(
+            memory_graph, backend="sparse", checkpoint_path=checkpoint
+        ).run(jobs)
+        resumed = AttackCampaign(
+            store.csr(), backend="sparse", checkpoint_path=checkpoint
+        ).run(jobs)
+        assert resumed.resumed_jobs == len(jobs)
+        _assert_no_side_tables(store)
+
+    def test_store_executor_resumes_payload_checkpoint(self, store, memory_graph, tmp_path, sweep_jobs, assert_outcomes_identical, store_targets):
+        jobs = sweep_jobs(store_targets, count=5, budget=2)
+        checkpoint = tmp_path / "campaign.jsonl"
+        AttackCampaign(
+            memory_graph, backend="sparse", checkpoint_path=checkpoint
+        ).run(jobs[:3])
+        resumed = ParallelCampaignExecutor(
+            store, workers=2, checkpoint_path=checkpoint
+        ).run(jobs)
+        assert resumed.resumed_jobs == 3
+        assert_outcomes_identical(AttackCampaign(store).run(jobs), resumed)
+        _assert_no_side_tables(store)
+
+    def test_payload_executor_resumes_store_checkpoint(self, store, memory_graph, tmp_path, sweep_jobs, assert_outcomes_identical, store_targets):
+        jobs = sweep_jobs(store_targets, count=5, budget=2)
+        checkpoint = tmp_path / "campaign.jsonl"
+        AttackCampaign(store, checkpoint_path=checkpoint).run(jobs[:3])
+        resumed = ParallelCampaignExecutor(
+            memory_graph, workers=2, backend="sparse", checkpoint_path=checkpoint
+        ).run(jobs)
+        assert resumed.resumed_jobs == 3
+        assert_outcomes_identical(AttackCampaign(store).run(jobs), resumed)
+        _assert_no_side_tables(store)
+
+    def test_scheduler_resumes_payload_checkpoint(self, store, memory_graph, tmp_path, sweep_jobs, assert_outcomes_identical, store_targets):
+        jobs = sweep_jobs(store_targets, count=5, budget=2)
+        checkpoint = tmp_path / "campaign.jsonl"
+        AttackCampaign(
+            memory_graph, backend="sparse", checkpoint_path=checkpoint
+        ).run(jobs[:3])
+        resumed = build_campaign(
+            store, workers=2, scheduler=True, checkpoint_path=checkpoint
+        ).run(jobs)
+        assert resumed.resumed_jobs == 3
+        assert_outcomes_identical(AttackCampaign(store).run(jobs), resumed)
+        _assert_no_side_tables(store)
