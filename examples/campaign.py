@@ -113,9 +113,10 @@ def main() -> None:
     print(f"\nbest job: {best.job.attack} on target {list(best.job.targets)} "
           f"(tau {best.score_decrease:.1%}, flips {result.flips()})")
 
-    # 6. The same grid shards across worker processes (one engine per
-    #    worker) with bit-identical results — the multiplier for Fig. 4-
-    #    scale sweeps.  See benchmarks/bench_parallel_campaign.py and
+    # 6. The same grid drains across worker processes (one engine per
+    #    worker, jobs claimed one at a time from a shared queue) with
+    #    bit-identical results — the multiplier for Fig. 4-scale sweeps.
+    #    See benchmarks/bench_parallel_campaign.py and
     #    `python -m repro.experiments.runner --workers N`.
     from repro.attacks import ParallelCampaignExecutor
 

@@ -152,13 +152,13 @@ def main() -> None:
         f"mean tau {sum(o.score_decrease for o in sweep) / len(sweep):.1%}"
     )
 
-    # 9. Parallel campaigns: shard the job grid across worker processes.
+    # 9. Parallel campaigns: drain the job grid across worker processes.
     #
     #    ParallelCampaignExecutor gives every worker its own engine (rebuilt
-    #    once from a pickled EngineSpec) and a shard of the job queue;
-    #    results are bit-identical to the serial campaign, and checkpoints
-    #    resume across different worker counts.  build_campaign() is the
-    #    one-line switch:
+    #    once from a pickled EngineSpec); workers claim jobs one at a time
+    #    from a shared work-stealing queue.  Results are bit-identical to
+    #    the serial campaign, and checkpoints resume across different
+    #    worker counts.  build_campaign() is the one-line switch:
     from repro.attacks import build_campaign
 
     parallel_sweep = build_campaign(graph, workers=2).run(jobs)

@@ -16,7 +16,7 @@ from repro.attacks.campaign import (
     grid_jobs,
 )
 from repro.attacks.executor import ParallelCampaignExecutor, build_campaign
-from repro.attacks.scheduler import SchedulingCampaignExecutor, WorkQueue
+from repro.attacks.scheduler import WorkQueue
 from repro.attacks.candidates import CANDIDATE_STRATEGIES, AdaptiveCandidateSet, CandidateSet
 from repro.attacks.constraints import (
     creates_singleton,
@@ -54,7 +54,6 @@ __all__ = [
     "OddBallHeuristic",
     "ParallelCampaignExecutor",
     "RandomAttack",
-    "SchedulingCampaignExecutor",
     "StructuralAttack",
     "WorkQueue",
     "apply_flips",

@@ -1,4 +1,4 @@
-"""ParallelCampaignExecutor: one engine per worker, sharded job queue.
+"""ParallelCampaignExecutor: one engine per worker, one work-stealing queue.
 
 The paper's headline experiments — Fig. 4's effectiveness sweeps, Table I's
 attackability column — are grids of *independent* (target × budget × λ ×
@@ -10,30 +10,38 @@ campaign restores the engine between jobs), so the next multiplier is
 process-level parallelism:
 
 * the parent captures the graph once as a picklable
-  :class:`~repro.oddball.surrogate.EngineSpec` and **shards** the pending
-  job list round-robin across N worker processes;
+  :class:`~repro.oddball.surrogate.EngineSpec` and publishes the pending
+  jobs into a shared :class:`~repro.attacks.scheduler.WorkQueue`
+  directory;
 * each worker rebuilds its own :class:`SurrogateEngine` from the spec
-  (``EngineSpec.build`` → ``SurrogateEngine.from_spec``) exactly once,
-  then drains its shard through a plain :class:`AttackCampaign` — the
-  existing ``retarget()``/``checkpoint()``/``restore()`` primitives do the
-  per-job work, so worker code adds no new attack semantics;
+  (``EngineSpec.build`` → ``SurrogateEngine.from_spec``) exactly once, then
+  claims jobs one at a time under a heartbeat-renewed lease and runs each
+  through :meth:`AttackCampaign.run_job` — the existing
+  ``retarget()``/``checkpoint()``/``restore()`` primitives do the per-job
+  work, so worker code adds no new attack semantics;
 * workers append completed jobs to **per-worker JSONL shard files** in the
   standard :class:`~repro.attacks.campaign.CheckpointStore` format; the
-  parent merges the shards into the single-file checkpoint after joining
-  (and *before* raising, if a worker died — completed work is never lost).
+  parent merges the shards into the single-file checkpoint after joining.
+
+Claiming one job at a time divides a grid by cost rather than by job
+count, so a cost-skewed grid (a λ-sweep BinarizedAttack next to cheap
+GradMax jobs) keeps every worker busy until the queue is dry.  A worker
+killed mid-job (``kill -9`` included) stops renewing its lease; the lease
+expires after ``lease_ttl`` seconds and a survivor requeues the job.  A run
+therefore fails only when jobs are still missing after the drain — and
+completed work is merged into the checkpoint before it raises.
 
 Because jobs are keyed by the content hash :attr:`AttackJob.job_id`,
-merge/dedupe/resume are order-independent: a run interrupted mid-shard can
-be resumed with a **different** worker count (leftover shards are folded
+merge/dedupe/resume are order-independent: an interrupted run can be
+resumed with a **different** worker count (leftover shards are folded
 into the main checkpoint first), and the merged result is bit-identical to
 a serial :class:`AttackCampaign` run of the same grid — same flips, same
 losses, same rank shifts (parity-tested; the executor is purely a
 wall-clock lever).
 
-Scaling: with W workers the critical path drops from ``E + J·t`` to
-``E + ceil(J/W)·t`` (E = one engine build + clean-score pass, t = per-job
-cost) plus fork/merge overhead — near-linear while ``J·t`` dominates,
-which Fig. 4-scale grids (hundreds of jobs) comfortably reach.  See
+Scaling: with W workers the critical path drops from ``E + J·t`` to about
+``E + J·t/W`` (E = one engine build + clean-score pass, t = mean per-job
+cost) plus fork/merge overhead.  See
 ``benchmarks/bench_parallel_campaign.py``.
 """
 
@@ -41,20 +49,14 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import sys
+import shutil
 import tempfile
 import time
 from pathlib import Path
 from typing import Iterable
 
-try:  # Unix-only stdlib module; absent on Windows
-    import resource
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    resource = None
-
-import numpy as np
-
 from repro import telemetry as _telemetry
+from repro.attacks import scheduler as _scheduler
 from repro.attacks.campaign import (
     AttackCampaign,
     AttackJob,
@@ -66,17 +68,18 @@ from repro.attacks.campaign import (
     validate_jobs,
 )
 from repro.kernels import validate_kernels
-from repro.oddball.surrogate import (
-    EngineSpec,
-    SurrogateEngine,
-    resolve_backend,
-    validate_backend,
-)
+from repro.oddball.surrogate import EngineSpec, resolve_backend, validate_backend
 from repro.utils.logging import get_logger
 
 __all__ = ["ParallelCampaignExecutor", "build_campaign"]
 
 _log = get_logger("attacks.executor")
+
+#: Fork where available (workers inherit loaded modules — no per-worker
+#: interpreter/import cost), spawn elsewhere.
+_START_METHOD = (
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+)
 
 
 def build_campaign(
@@ -87,26 +90,33 @@ def build_campaign(
     kernels: str = "auto",
     checkpoint_path=None,
     compute_ranks: bool = True,
-    scheduler: bool = False,
+    scheduler: bool = True,
     lease_ttl: "float | None" = None,
     telemetry: "str | None" = None,
 ):
     """Serial :class:`AttackCampaign` or a :class:`ParallelCampaignExecutor`.
 
     The one switch the experiment drivers call: ``workers <= 1`` returns
-    the serial campaign, anything larger the parallel executor — with
-    ``scheduler=True`` the work-stealing
-    :class:`~repro.attacks.scheduler.SchedulingCampaignExecutor`, whose
-    shared queue keeps workers busy on cost-skewed grids and requeues a
-    killed worker's jobs (``lease_ttl`` bounds the requeue latency; ``None``
-    defers to ``$REPRO_LEASE_TTL``, then 30 s).  All three expose the same
-    ``run(jobs) -> CampaignResult`` surface and produce bit-identical
+    the serial campaign, anything larger the queue-draining executor
+    (``lease_ttl`` bounds the requeue latency after a worker crash;
+    ``None`` defers to ``$REPRO_LEASE_TTL``, then 30 s).  Both expose the
+    same ``run(jobs) -> CampaignResult`` surface and produce bit-identical
     results, so callers never branch again.  ``kernels`` selects the
     hot-loop kernel backend (see :mod:`repro.kernels`); either value
     yields the same flips.  ``telemetry`` names a trace directory for the
     :mod:`repro.telemetry` layer (``None`` defers to
     ``$REPRO_TELEMETRY``); tracing changes no results.
+
+    ``scheduler`` exists only for the frozen benchmark harness, which
+    passes ``scheduler=True``; static round-robin shards were removed, so
+    any false value raises :class:`ValueError`.
     """
+    if not scheduler:
+        raise ValueError(
+            "scheduler=False selected static round-robin shards, which were "
+            "removed; every multi-worker campaign drains the work-stealing "
+            "queue (drop the argument)"
+        )
     if workers <= 1:
         return AttackCampaign(
             graph,
@@ -116,20 +126,6 @@ def build_campaign(
             compute_ranks=compute_ranks,
             telemetry=telemetry,
         )
-    if scheduler:
-        # Imported lazily: scheduler.py imports from this module.
-        from repro.attacks.scheduler import SchedulingCampaignExecutor
-
-        return SchedulingCampaignExecutor(
-            graph,
-            workers=workers,
-            backend=backend,
-            kernels=kernels,
-            checkpoint_path=checkpoint_path,
-            compute_ranks=compute_ranks,
-            lease_ttl=lease_ttl,
-            telemetry=telemetry,
-        )
     return ParallelCampaignExecutor(
         graph,
         workers=workers,
@@ -137,94 +133,13 @@ def build_campaign(
         kernels=kernels,
         checkpoint_path=checkpoint_path,
         compute_ranks=compute_ranks,
+        lease_ttl=lease_ttl,
         telemetry=telemetry,
     )
 
 
-def _worker_main(
-    spec: EngineSpec,
-    jobs: "list[AttackJob]",
-    shard_path: str,
-    compute_ranks: bool,
-    telemetry: "dict | None" = None,
-) -> None:
-    """Entry point of one worker process: build one engine, drain one shard.
-
-    Runs in the child.  The engine comes from the spec round-trip
-    (:meth:`EngineSpec.build`), the shard drains through a plain
-    :class:`AttackCampaign` whose checkpoint file *is* the shard, so every
-    completed job is durable the moment it finishes — a killed worker
-    loses at most the job it was executing.
-
-    ``telemetry`` is a :func:`repro.telemetry.worker_spec` payload (or
-    ``None``): the first thing the worker does is open its OWN per-worker
-    sink (or disable the fork-inherited tracer), so parent and child
-    never write one file and the merged trace stays one tree.
-
-    A ``<shard>.stats`` sidecar records the worker's CPU and wall seconds;
-    the parent collects these into
-    :attr:`ParallelCampaignExecutor.last_worker_stats`.  CPU seconds are
-    the contention-free cost signal: on a core-starved machine the wall
-    clock of W time-sharing workers stretches by up to W×, while CPU time
-    measures the work itself.
-    """
-    _telemetry.worker_configure(telemetry)
-    wall_start = time.perf_counter()
-    cpu_start = time.process_time()
-    try:
-        with _telemetry.span("worker.run", jobs=len(jobs)):
-            # Empty candidate set, exactly like AttackCampaign's lazy
-            # construction: every job retargets with its own pairs, and
-            # ``None`` would materialise all n(n−1)/2 upper-triangle pairs
-            # — 50M entries at n = 10 000.
-            empty = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
-            graph = spec.to_graph()  # materialised once: engine + campaign share it
-            engine = SurrogateEngine.from_spec(
-                spec, jobs[0].targets, candidates=empty, graph=graph
-            )
-            campaign = AttackCampaign(
-                graph,
-                backend=spec.backend,
-                # The spec carries the REQUESTED kernels flag (possibly
-                # "auto"); the engine build above resolved it against THIS
-                # host, and the campaign default keeps per-job attack
-                # params consistent with it.
-                kernels=spec.kernels,
-                checkpoint_path=shard_path,
-                compute_ranks=compute_ranks,
-                engine=engine,
-            )
-            campaign.run(jobs)
-        stats = {
-            "jobs": len(jobs),
-            "cpu_seconds": time.process_time() - cpu_start,
-            "wall_seconds": time.perf_counter() - wall_start,
-            # Peak resident set of this worker in KiB: the memory signal the
-            # store-vs-payload benchmark compares.  With the fork start method
-            # this includes pages inherited copy-on-write from the parent, so
-            # it is an honest "what this process kept mapped" number, not a
-            # private-bytes number.  0 where getrusage is unavailable.
-            "max_rss_kb": _max_rss_kb(),
-        }
-        Path(shard_path + ".stats").write_text(json.dumps(stats) + "\n")
-    finally:
-        _telemetry.shutdown()  # flush the worker's counters before exit
-
-
-def _max_rss_kb() -> int:
-    """This process's peak RSS in KiB (0 on platforms without getrusage).
-
-    ``ru_maxrss`` is KiB on Linux but *bytes* on macOS — normalised here so
-    every ``.stats`` sidecar speaks the same unit.
-    """
-    if resource is None:
-        return 0
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return int(peak // 1024) if sys.platform == "darwin" else int(peak)
-
-
 class ParallelCampaignExecutor:
-    """Drain a campaign's job grid across N worker processes.
+    """Drain a campaign's job grid across N workers through a shared queue.
 
     Parameters
     ----------
@@ -235,9 +150,7 @@ class ParallelCampaignExecutor:
         ``store``-kind spec (a path, not arrays) and memory-map one shared
         on-disk graph instead of each holding a CSR copy (sparse-only).
     workers:
-        Worker process count.  Sharding is round-robin over the pending
-        (non-checkpointed) jobs; a shard never exceeds
-        ``ceil(pending / workers)`` jobs.
+        Worker process count (at most one per pending job is started).
     backend:
         Surrogate backend (``"auto"``/``"dense"``/``"sparse"``), resolved
         once in the parent and baked into the :class:`EngineSpec` every
@@ -259,6 +172,11 @@ class ParallelCampaignExecutor:
         a temporary directory and only the in-memory result survives.
     compute_ranks:
         Forwarded to every worker's campaign (per-target rank shifts).
+    lease_ttl:
+        Seconds a lease survives without a heartbeat renewal
+        (``None`` → ``$REPRO_LEASE_TTL`` → 30).  Heartbeats fire every
+        ``ttl / 3``, so the TTL bounds *requeue latency after a crash*,
+        not job duration — long jobs are safe at any TTL.
     telemetry:
         Optional trace directory for the :mod:`repro.telemetry` layer.
         The parent configures its tracer here (spec capture, drain and
@@ -267,10 +185,6 @@ class ParallelCampaignExecutor:
         trace directory reads as ONE tree.  ``None`` defers to
         ``$REPRO_TELEMETRY``/earlier configuration; results are
         bit-identical with telemetry on or off.
-    mp_context:
-        Optional :mod:`multiprocessing` start-method name.  Defaults to
-        ``"fork"`` where available (workers inherit loaded modules — no
-        per-worker interpreter/import cost) and ``"spawn"`` elsewhere.
 
     Example
     -------
@@ -293,7 +207,7 @@ class ParallelCampaignExecutor:
         kernels: str = "auto",
         checkpoint_path=None,
         compute_ranks: bool = True,
-        mp_context: "str | None" = None,
+        lease_ttl: "float | None" = None,
         telemetry: "str | None" = None,
     ):
         validate_backend(backend)
@@ -321,27 +235,29 @@ class ParallelCampaignExecutor:
             None if checkpoint_path is None else Path(checkpoint_path)
         )
         self.compute_ranks = compute_ranks
-        if mp_context is None:
-            mp_context = (
-                "fork"
-                if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
-            )
-        self._mp = multiprocessing.get_context(mp_context)
+        self.lease_ttl = _scheduler.resolve_lease_ttl(lease_ttl)
+        self._mp = multiprocessing.get_context(_START_METHOD)
         self._fingerprint = graph_fingerprint(self._original, self.backend)
-        #: job-id lists per shard of the most recent :meth:`run` — the
-        #: scaling bench groups per-job timings by worker through this.
+        #: job-id lists per worker shard of the most recent :meth:`run` —
+        #: the scaling bench groups per-job timings by worker through this.
         self.last_shards: "list[list[str]]" = []
-        #: per-worker ``{"jobs", "cpu_seconds", "wall_seconds"}`` dicts from
-        #: the most recent :meth:`run` (empty if every job was resumed).
-        #: CPU seconds are contention-free, so they remain the honest
-        #: per-worker cost signal even when workers outnumber cores.
+        #: per-worker ``{"jobs", "cpu_seconds", "wall_seconds", ...}`` dicts
+        #: from the most recent :meth:`run` (empty if every job was
+        #: resumed).  CPU seconds are contention-free, so they remain the
+        #: honest per-worker cost signal even when workers outnumber cores.
         self.last_worker_stats: "list[dict]" = []
         #: parent-side seconds of the most recent :meth:`run` spent outside
-        #: the worker drain: checkpoint load, sharding, spec capture, shard
-        #: merge.  ``overhead + max(worker seconds)`` models the wall time
-        #: of a run whose workers never contend for cores.
+        #: the worker drain: checkpoint load, spec capture, queue publish,
+        #: shard merge.  ``overhead + max(worker seconds)`` models the wall
+        #: time of a run whose workers never contend for cores.
         self.last_overhead_seconds: float = 0.0
+        #: Names of workers that exited abnormally in the most recent
+        #: :meth:`run` whose jobs were nevertheless recovered by the
+        #: survivors (empty on a clean run).
+        self.last_dead_workers: "list[str]" = []
+        #: Total lease steals (requeues) across workers in the most recent
+        #: :meth:`run` — the crash-recovery signal chaos tests assert on.
+        self.last_requeues: int = 0
 
     # ------------------------------------------------------------------ #
     # Orchestration
@@ -371,33 +287,57 @@ class ParallelCampaignExecutor:
             )
         start = time.perf_counter()
         pending = [job for job in jobs if job.job_id not in completed]
-        shards = self._shard(pending)
-        self.last_shards = [[job.job_id for job in shard] for shard in shards]
+        count = min(self.workers, len(pending))
+        self.last_shards = []
         self.last_worker_stats = []
+        self.last_dead_workers = []
+        self.last_requeues = 0
         drain_seconds = 0.0
-        with _telemetry.span(
-            "executor.run", workers=self.workers, jobs=len(jobs),
-            resumed=resumed,
-        ):
-            if shards:
-                drain_seconds = self._run_workers(shards, shard_dir)
-                self.last_worker_stats = self._collect_stats(
-                    shard_dir, len(shards)
+        if pending:
+            queue_dir = self._queue_dir(shard_dir)
+            with _telemetry.span(
+                "executor.run", workers=count, jobs=len(jobs), resumed=resumed,
+            ):
+                drain_seconds = self._drain_queue(
+                    pending, count, shard_dir, queue_dir
                 )
-                with _telemetry.span("executor.merge", shards=len(shards)):
-                    merged = self._collect(shard_dir, into=completed)
-                missing = [
-                    job for job in pending if job.job_id not in completed
-                ]
-                if missing:
-                    raise RuntimeError(
-                        f"parallel campaign finished with {len(missing)} jobs "
-                        "unaccounted for (first missing: "
-                        f"{missing[0].to_dict()!r})"
+            self.last_worker_stats = self._collect_stats(shard_dir, count)
+            self.last_requeues = sum(
+                int(stats.get("steals", 0)) for stats in self.last_worker_stats
+            )
+            # Record who completed what BEFORE the merge deletes the shard
+            # files — the benchmark groups per-job timings by worker here.
+            self.last_shards = [
+                sorted(self._store(self._shard_path(shard_dir, index)).load())
+                for index in range(count)
+                if self._shard_path(shard_dir, index).exists()
+            ]
+            with _telemetry.span("executor.merge", shards=len(self.last_shards)):
+                self._collect(shard_dir, into=completed)
+            missing = [job for job in pending if job.job_id not in completed]
+            if missing:
+                dead = (
+                    f" (dead workers: {self.last_dead_workers})"
+                    if self.last_dead_workers
+                    else ""
+                )
+                raise RuntimeError(
+                    f"parallel campaign finished with {len(missing)} jobs "
+                    f"unaccounted for{dead}; completed jobs "
+                    + (
+                        "were checkpointed and a rerun will resume from them"
+                        if self.checkpoint_path is not None
+                        else "were discarded with the run — set a "
+                             "checkpoint_path to make failed runs resumable"
                     )
-                _log.debug(
-                    "merged %d outcomes from %d shards", merged, len(shards)
                 )
+            if self.last_dead_workers:
+                _log.warning(
+                    "worker(s) %s died mid-lease; their jobs were requeued "
+                    "and completed by the surviving workers",
+                    self.last_dead_workers,
+                )
+            shutil.rmtree(queue_dir, ignore_errors=True)
         elapsed = time.perf_counter() - start
         self.last_overhead_seconds = max(elapsed - drain_seconds, 0.0)
         return CampaignResult(
@@ -407,21 +347,23 @@ class ParallelCampaignExecutor:
             seconds=elapsed,
             resumed_jobs=resumed,
             worker_stats=list(self.last_worker_stats),
+            dead_workers=tuple(self.last_dead_workers),
+            requeues=self.last_requeues,
         )
 
-    def _shard(self, pending: "list[AttackJob]") -> "list[list[AttackJob]]":
-        """Round-robin shards (at most ``workers``, none empty)."""
-        count = min(self.workers, len(pending))
-        shards: "list[list[AttackJob]]" = [[] for _ in range(count)]
-        for index, job in enumerate(pending):
-            shards[index % count].append(job)
-        return shards
+    def _drain_queue(
+        self,
+        pending: "list[AttackJob]",
+        count: int,
+        shard_dir: Path,
+        queue_dir: Path,
+    ) -> float:
+        """Publish the queue, spawn ``count`` workers, join them.
 
-    def _run_workers(self, shards, shard_dir: Path) -> float:
-        """Spawn one process per shard; join; merge shards even on failure.
-
-        Returns the wall seconds of the drain (start of first fork to last
-        join) so :meth:`run` can separate parent overhead from worker time.
+        Returns the drain wall seconds (first fork to last join).  A
+        worker exiting abnormally does NOT raise here — survivors requeue
+        its jobs; :meth:`_execute` only fails if jobs are actually missing
+        afterwards.
         """
         # Spec capture copies the whole graph payload (store-backed specs
         # capture only the path) — that is parent overhead (see
@@ -437,21 +379,34 @@ class ParallelCampaignExecutor:
                 spec = EngineSpec.from_graph(
                     self._original, backend=self.backend, kernels=self.kernels
                 )
+        # The queue is ephemeral coordination state: durable truth lives in
+        # the shard checkpoints, so a previous (crashed) run's queue is
+        # simply replaced.
+        if queue_dir.exists():
+            shutil.rmtree(queue_dir)
+        _scheduler.WorkQueue.create(queue_dir, pending, lease_ttl=self.lease_ttl)
         drain_start = time.perf_counter()
-        drain_span = _telemetry.span("executor.drain", workers=len(shards))
         processes = []
-        with drain_span:
-            for index, shard in enumerate(shards):
-                args = (spec, shard, str(self._shard_path(shard_dir, index)),
-                        self.compute_ranks)
+        with _telemetry.span("executor.drain", workers=count):
+            for index in range(count):
+                args = (
+                    spec,
+                    str(queue_dir),
+                    str(self._shard_path(shard_dir, index)),
+                    self.compute_ranks,
+                    self.lease_ttl,
+                    index,
+                )
                 # Only extend the args tuple when tracing, so the worker
-                # entry point keeps its historical positional signature
-                # (tests monkeypatch it) on untraced runs.
+                # entry point keeps its positional signature (chaos tests
+                # monkeypatch it) on untraced runs.
                 tspec = _telemetry.worker_spec(f"worker-{index}")
                 if tspec is not None:
                     args += (tspec,)
+                # Looked up on the module at spawn time so a monkeypatched
+                # entry point reaches the forked worker.
                 process = self._mp.Process(
-                    target=_worker_main,
+                    target=_scheduler._scheduler_worker_main,
                     args=args,
                     name=f"campaign-worker-{index}",
                 )
@@ -470,37 +425,26 @@ class ParallelCampaignExecutor:
                 for process in processes:
                     process.join()
                 raise
-        failed = [p.name for p in processes if p.exitcode != 0]
-        if failed:
-            if self.checkpoint_path is not None:
-                # Merge what the dead workers DID complete before raising,
-                # so a rerun resumes instead of repeating their work.
-                self._merge_and_load()
-                detail = (
-                    "completed jobs were checkpointed and a rerun will "
-                    "resume from them"
-                )
-            else:
-                detail = (
-                    "no checkpoint_path was set, so completed jobs were "
-                    "discarded with the run — set one to make failed runs "
-                    "resumable"
-                )
-            raise RuntimeError(
-                f"campaign worker(s) {failed} exited abnormally; {detail}"
-            )
+        self.last_dead_workers = [
+            p.name for p in processes if p.exitcode != 0
+        ]
         return time.perf_counter() - drain_start
 
     # ------------------------------------------------------------------ #
     # Shard bookkeeping
     # ------------------------------------------------------------------ #
-    def _shard_path(self, shard_dir: Path, index: int) -> Path:
-        stem = (
+    def _stem(self) -> str:
+        return (
             self.checkpoint_path.name
             if self.checkpoint_path is not None
             else "campaign"
         )
-        return shard_dir / f"{stem}.shard{index}"
+
+    def _shard_path(self, shard_dir: Path, index: int) -> Path:
+        return shard_dir / f"{self._stem()}.shard{index}"
+
+    def _queue_dir(self, shard_dir: Path) -> Path:
+        return shard_dir / f"{self._stem()}.queue"
 
     def _store(self, path: Path) -> CheckpointStore:
         return CheckpointStore(path, self._fingerprint, self.backend, self.n)
@@ -540,8 +484,8 @@ class ParallelCampaignExecutor:
         """Fold any shard files into the main checkpoint, then load it.
 
         Called before scheduling (folding in a killed run's leftovers — the
-        step that makes resume worker-count-independent) and after a failed
-        run.  Merged shards are deleted; merging is idempotent because
+        step that makes resume worker-count-independent) and after every
+        drain.  Merged shards are deleted; merging is idempotent because
         outcomes are keyed by content-hashed job id.
         """
         assert self.checkpoint_path is not None
@@ -563,22 +507,15 @@ class ParallelCampaignExecutor:
 
     def _collect(
         self, shard_dir: Path, into: "dict[str, JobOutcome]"
-    ) -> int:
-        """Merge this run's shards into the result dict (and main file).
-
-        Returns the number of outcomes actually added to ``into`` (not the
-        total checkpoint size — resumed jobs are already there).
-        """
-        before = len(into)
+    ) -> None:
+        """Merge this run's shards into the result dict (and main file)."""
         if self.checkpoint_path is not None:
             into.update(self._merge_and_load())
-            return len(into) - before
+            return
         prefix = "campaign.shard"
-        shard_paths = sorted(
+        for shard_path in sorted(
             path
             for path in shard_dir.iterdir()
             if path.name.startswith(prefix) and not path.name.endswith(".stats")
-        )
-        for shard_path in shard_paths:
+        ):
             into.update(self._store(shard_path).load())
-        return len(into) - before

@@ -1,16 +1,10 @@
-"""Work-stealing campaign scheduler: a shared queue with leases + heartbeats.
+"""Work-stealing campaign queue: a shared directory with leases + heartbeats.
 
-:class:`~repro.attacks.executor.ParallelCampaignExecutor` splits a job grid
-round-robin into static shards.  That is optimal only when every job costs
-the same — and campaign grids are *not* uniform: a λ-sweep BinarizedAttack
-job runs orders of magnitude longer than a budget-2 GradMaxSearch job, and
-grid ordering stripes those costs onto workers systematically (a budgets ×
-targets sweep hands one worker every heaviest-budget job).  Static shards
-therefore leave W−1 workers idle while one drains the expensive stripe, and
-a worker that dies silently strands its whole shard until the parent fails
-the run.
-
-This module replaces sharding with **queue draining**:
+:class:`~repro.attacks.executor.ParallelCampaignExecutor` drains a job grid
+through this queue.  Campaign grids are *not* uniform in cost — a λ-sweep
+BinarizedAttack job runs orders of magnitude longer than a budget-2
+GradMaxSearch job — so workers claim jobs one at a time instead of taking
+a fixed share, and a worker that dies mid-job loses no work:
 
 * the parent publishes the pending jobs once into a shared
   :class:`WorkQueue` directory (``jobs.jsonl`` + a ``leases/`` and ``done/``
@@ -31,12 +25,8 @@ This module replaces sharding with **queue draining**:
   job, which is why checkpoint merging dedupes by job content hash — the
   merged checkpoint keeps exactly one record either way.
 
-:class:`SchedulingCampaignExecutor` wraps the queue in the executor surface
-the rest of the stack already speaks: the same ``run(jobs) ->
-CampaignResult``, the same :class:`~repro.oddball.surrogate.EngineSpec`
-transport, the same per-worker shard checkpoints and merge path, so serial,
-statically-sharded and queue-drained runs all produce bit-identical results
-and resume each other's checkpoints.
+:func:`_scheduler_worker_main` is the worker process's entry point; the
+executor spawns one per worker and merges their shard checkpoints.
 
 Scope: the queue coordinates processes on **one host** (monotonic clocks
 are comparable machine-wide, ``flock`` is a kernel lock).  Multi-host
@@ -48,8 +38,9 @@ semantics.
 from __future__ import annotations
 
 import json
+import math
 import os
-import shutil
+import sys
 import threading
 import time
 from contextlib import contextmanager
@@ -62,19 +53,15 @@ try:  # Unix-only stdlib module; the queue degrades to lock-free elsewhere
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
+try:  # Unix-only stdlib module; absent on Windows
+    import resource
+except ImportError:  # pragma: no cover - non-POSIX platforms
+    resource = None
+
 import numpy as np
 
 from repro import telemetry as _telemetry
-from repro.attacks.campaign import (
-    AttackCampaign,
-    AttackJob,
-    CampaignResult,
-    JobOutcome,
-)
-from repro.attacks.executor import (
-    ParallelCampaignExecutor,
-    _max_rss_kb,
-)
+from repro.attacks.campaign import AttackCampaign, AttackJob
 from repro.oddball.surrogate import EngineSpec, SurrogateEngine
 from repro.utils.logging import get_logger
 
@@ -83,7 +70,6 @@ __all__ = [
     "LEASE_TTL_ENV",
     "Lease",
     "LeaseHeartbeat",
-    "SchedulingCampaignExecutor",
     "WorkQueue",
     "resolve_lease_ttl",
 ]
@@ -156,14 +142,25 @@ class Lease:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "Lease":
-        """Rebuild a lease from :meth:`to_dict` output."""
-        return cls(
+        """Rebuild a lease from :meth:`to_dict` output.
+
+        Raises :class:`ValueError` on a non-finite ``deadline`` or
+        ``claimed_at`` (``json.loads`` accepts ``NaN``/``Infinity``, and
+        ``now >= nan`` is never true, so such a lease would never expire)
+        and on a negative ``generation``.
+        """
+        lease = cls(
             job_id=str(payload["job_id"]),
             worker=str(payload["worker"]),
             deadline=float(payload["deadline"]),
             claimed_at=float(payload["claimed_at"]),
             generation=int(payload.get("generation", 0)),
         )
+        if not (math.isfinite(lease.deadline) and math.isfinite(lease.claimed_at)):
+            raise ValueError(f"lease on {lease.job_id} has a non-finite time")
+        if lease.generation < 0:
+            raise ValueError(f"lease on {lease.job_id} has a negative generation")
+        return lease
 
     def expired(self, now: float) -> bool:
         """Whether the lease's deadline has passed at monotonic time ``now``."""
@@ -188,7 +185,7 @@ class WorkQueue:
     lives in the shard checkpoints, the queue only coordinates.
 
     The claim scan is deterministic (queue order) so under equal load the
-    schedule approximates the static executor's; jobs a worker has seen
+    schedule approximates round-robin; jobs a worker has seen
     completed are cached, making repeated claims O(pending) rather than
     O(total).  All lease mutations happen under one queue-wide ``flock``
     held for the duration of a single scan/write — the kernel releases it
@@ -332,9 +329,10 @@ class WorkQueue:
         except FileNotFoundError:
             return None
         except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-            # A torn lease file (its writer was killed mid-rename-window) is
-            # treated as expired: the job is immediately stealable, which
-            # errs on the side of re-running rather than stranding.
+            # A torn lease file (its writer was killed mid-rename-window, or
+            # its payload fails Lease.from_dict's checks) is treated as
+            # expired: the job is immediately stealable, which errs on the
+            # side of re-running rather than stranding.
             return None
 
     def _write_lease(self, lease: Lease) -> None:
@@ -482,8 +480,13 @@ class WorkQueue:
     # ------------------------------------------------------------------ #
     @property
     def poll_interval(self) -> float:
-        """How long an idle worker sleeps between claim passes."""
-        return min(max(self.lease_ttl / 10.0, 0.01), 0.25)
+        """How long an idle worker sleeps between claim passes.
+
+        At most 10 ms, so a worker waiting on a peer's last job sees the
+        drained queue promptly, and at most ``ttl / 10``, so an expired
+        lease is stolen within a tenth of its TTL.
+        """
+        return min(self.lease_ttl / 10.0, 0.01)
 
     def lease_of(self, job_id: str) -> "Lease | None":
         """The current lease on ``job_id`` (``None`` if unleased)."""
@@ -567,6 +570,21 @@ class LeaseHeartbeat:
             self._thread.join()
 
 
+def _max_rss_kb() -> int:
+    """This process's peak RSS in KiB (0 on platforms without getrusage).
+
+    ``ru_maxrss`` is KiB on Linux but *bytes* on macOS — normalised here so
+    every ``.stats`` sidecar speaks the same unit.  With the fork start
+    method this includes pages inherited copy-on-write from the parent, so
+    it is an honest "what this process kept mapped" number, not a
+    private-bytes number.
+    """
+    if resource is None:
+        return 0
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return int(peak // 1024) if sys.platform == "darwin" else int(peak)
+
+
 def _scheduler_worker_main(
     spec: EngineSpec,
     queue_dir: str,
@@ -576,14 +594,22 @@ def _scheduler_worker_main(
     worker_index: int,
     telemetry: "dict | None" = None,
 ) -> None:
-    """Entry point of one scheduler worker: drain the shared queue.
+    """Entry point of one executor worker: drain the shared queue.
 
     Runs in the child.  One engine is built lazily on the first claim
-    (exactly the executor's spec round-trip), then every claimed job runs
+    (the :class:`EngineSpec` round-trip), then every claimed job runs
     through :meth:`AttackCampaign.run_job` under a lease heartbeat.  The
     durability order is fixed: shard append **then** done marker — a crash
     between the two requeues a job whose record already exists, and the
     merge dedupes by job content hash.
+
+    ``telemetry`` is a :func:`repro.telemetry.worker_spec` payload (or
+    ``None``): the worker first opens its OWN per-worker sink (or disables
+    the fork-inherited tracer), so parent and child never write one file.
+
+    A ``<shard>.stats`` sidecar records the worker's job count, CPU and
+    wall seconds, peak RSS and queue counters; CPU seconds are the
+    contention-free cost signal when workers outnumber cores.
     """
     _telemetry.worker_configure(telemetry)
     try:
@@ -623,9 +649,10 @@ def _scheduler_worker_drain(
             time.sleep(queue.poll_interval)
             continue
         if campaign is None:
-            # Empty candidate set, exactly like the static executor: every
-            # job retargets with its own pairs, and ``None`` would
-            # materialise all n(n−1)/2 upper-triangle pairs.
+            # Empty candidate set, exactly like AttackCampaign's lazy
+            # construction: every job retargets with its own pairs, and
+            # ``None`` would materialise all n(n−1)/2 upper-triangle pairs
+            # — 50M entries at n = 10 000.
             empty = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
             graph = spec.to_graph()
             engine = SurrogateEngine.from_spec(
@@ -634,6 +661,10 @@ def _scheduler_worker_drain(
             campaign = AttackCampaign(
                 graph,
                 backend=spec.backend,
+                # The spec carries the REQUESTED kernels flag (possibly
+                # "auto"); the engine build above resolved it against THIS
+                # host, and the campaign default keeps per-job attack
+                # params consistent with it.
                 kernels=spec.kernels,
                 checkpoint_path=shard_path,
                 compute_ranks=compute_ranks,
@@ -654,226 +685,3 @@ def _scheduler_worker_drain(
         **queue.stats(),
     }
     Path(shard_path + ".stats").write_text(json.dumps(stats) + "\n")
-
-
-class SchedulingCampaignExecutor(ParallelCampaignExecutor):
-    """Drain a campaign grid through a work-stealing queue of N workers.
-
-    Same constructor surface and result/checkpoint semantics as
-    :class:`~repro.attacks.executor.ParallelCampaignExecutor` — bit-identical
-    outcomes, interoperable checkpoints, resume across worker counts — plus:
-
-    * **load balancing**: workers claim jobs one at a time from a shared
-      :class:`WorkQueue`, so a cost-skewed grid (λ-sweep Binarized next to
-      cheap GradMax jobs) keeps every worker busy until the queue is dry
-      instead of idling behind the unluckiest static shard;
-    * **crash tolerance**: a worker killed mid-job (``kill -9`` included)
-      stops heartbeating, its lease expires after ``lease_ttl`` seconds and
-      a surviving worker requeues the job.  The run *succeeds* as long as
-      every job completes — dead workers are reported in
-      :attr:`last_dead_workers` rather than failing a run whose work was
-      recovered.
-
-    Parameters (beyond the parent's)
-    --------------------------------
-    lease_ttl:
-        Seconds a lease survives without a heartbeat renewal
-        (``None`` → ``$REPRO_LEASE_TTL`` → 30).  Heartbeats fire every
-        ``ttl / 3``, so the TTL bounds *requeue latency after a crash*,
-        not job duration — long jobs are safe at any TTL.
-    """
-
-    def __init__(
-        self,
-        graph,
-        *,
-        workers: int = 2,
-        backend: str = "auto",
-        kernels: str = "auto",
-        checkpoint_path=None,
-        compute_ranks: bool = True,
-        mp_context: "str | None" = None,
-        lease_ttl: "float | None" = None,
-        telemetry: "str | None" = None,
-    ):
-        super().__init__(
-            graph,
-            workers=workers,
-            backend=backend,
-            kernels=kernels,
-            checkpoint_path=checkpoint_path,
-            compute_ranks=compute_ranks,
-            mp_context=mp_context,
-            telemetry=telemetry,
-        )
-        self.lease_ttl = resolve_lease_ttl(lease_ttl)
-        #: Names of workers that exited abnormally in the most recent
-        #: :meth:`run` whose jobs were nevertheless recovered by the
-        #: survivors (empty on a clean run).
-        self.last_dead_workers: "list[str]" = []
-        #: Total lease steals (requeues) across workers in the most recent
-        #: :meth:`run` — the crash-recovery/observability signal chaos
-        #: tests and the scheduler benchmark assert on.
-        self.last_requeues: int = 0
-
-    # ------------------------------------------------------------------ #
-    # Orchestration (replaces the parent's static sharding)
-    # ------------------------------------------------------------------ #
-    def _execute(
-        self,
-        jobs: "list[AttackJob]",
-        completed: "dict[str, JobOutcome]",
-        shard_dir: Path,
-    ) -> CampaignResult:
-        resumed = sum(1 for job in jobs if job.job_id in completed)
-        if resumed:
-            _log.info(
-                "resuming scheduled campaign: %d/%d jobs checkpointed",
-                resumed, len(jobs),
-            )
-        start = time.perf_counter()
-        pending = [job for job in jobs if job.job_id not in completed]
-        self.last_shards = []
-        self.last_worker_stats = []
-        self.last_dead_workers = []
-        self.last_requeues = 0
-        drain_seconds = 0.0
-        if pending:
-            count = min(self.workers, len(pending))
-            queue_dir = self._queue_dir(shard_dir)
-            with _telemetry.span(
-                "executor.run", workers=count, jobs=len(jobs), resumed=resumed,
-                scheduler=True,
-            ):
-                drain_seconds = self._drain_queue(
-                    pending, count, shard_dir, queue_dir
-                )
-            self.last_worker_stats = self._collect_stats(shard_dir, count)
-            self.last_requeues = sum(
-                int(stats.get("steals", 0)) for stats in self.last_worker_stats
-            )
-            # Record who completed what BEFORE the merge deletes the shard
-            # files — the benchmark groups per-job timings by worker here.
-            self.last_shards = [
-                sorted(self._store(self._shard_path(shard_dir, index)).load())
-                for index in range(count)
-                if self._shard_path(shard_dir, index).exists()
-            ]
-            with _telemetry.span("executor.merge", shards=len(self.last_shards)):
-                self._collect(shard_dir, into=completed)
-            missing = [job for job in pending if job.job_id not in completed]
-            if missing:
-                dead = (
-                    f" (dead workers: {self.last_dead_workers})"
-                    if self.last_dead_workers
-                    else ""
-                )
-                raise RuntimeError(
-                    f"scheduled campaign finished with {len(missing)} jobs "
-                    f"unaccounted for{dead}; completed jobs "
-                    + (
-                        "were checkpointed and a rerun will resume from them"
-                        if self.checkpoint_path is not None
-                        else "were discarded with the run — set a "
-                             "checkpoint_path to make failed runs resumable"
-                    )
-                )
-            if self.last_dead_workers:
-                _log.warning(
-                    "worker(s) %s died mid-lease; their jobs were requeued "
-                    "and completed by the surviving workers",
-                    self.last_dead_workers,
-                )
-            shutil.rmtree(queue_dir, ignore_errors=True)
-        elapsed = time.perf_counter() - start
-        self.last_overhead_seconds = max(elapsed - drain_seconds, 0.0)
-        return CampaignResult(
-            outcomes=[completed[job.job_id] for job in jobs],
-            backend=self.backend,
-            n=self.n,
-            seconds=elapsed,
-            resumed_jobs=resumed,
-            worker_stats=list(self.last_worker_stats),
-            dead_workers=tuple(self.last_dead_workers),
-            requeues=self.last_requeues,
-        )
-
-    def _queue_dir(self, shard_dir: Path) -> Path:
-        stem = (
-            self.checkpoint_path.name
-            if self.checkpoint_path is not None
-            else "campaign"
-        )
-        return shard_dir / f"{stem}.queue"
-
-    def _drain_queue(
-        self,
-        pending: "list[AttackJob]",
-        count: int,
-        shard_dir: Path,
-        queue_dir: Path,
-    ) -> float:
-        """Publish the queue, spawn ``count`` workers, join them.
-
-        Returns the drain wall seconds (queue publish to last join).  A
-        worker exiting abnormally does NOT raise here — the queue's whole
-        point is that survivors requeue its jobs; :meth:`_execute` only
-        fails if jobs are actually missing afterwards.
-        """
-        shard_dir.mkdir(parents=True, exist_ok=True)
-        with _telemetry.span("executor.spec", store=self._graph_store is not None):
-            if self._graph_store is not None:
-                spec = EngineSpec.from_store(
-                    self._graph_store, kernels=self.kernels
-                )
-            else:
-                spec = EngineSpec.from_graph(
-                    self._original, backend=self.backend, kernels=self.kernels
-                )
-        # The queue is ephemeral coordination state: durable truth lives in
-        # the shard checkpoints, so a previous (crashed) run's queue is
-        # simply replaced.
-        if queue_dir.exists():
-            shutil.rmtree(queue_dir)
-        WorkQueue.create(queue_dir, pending, lease_ttl=self.lease_ttl)
-        drain_start = time.perf_counter()
-        processes = []
-        with _telemetry.span("executor.drain", workers=count):
-            for index in range(count):
-                args = (
-                    spec,
-                    str(queue_dir),
-                    str(self._shard_path(shard_dir, index)),
-                    self.compute_ranks,
-                    self.lease_ttl,
-                    index,
-                )
-                # Only extend the args tuple when tracing, so the worker
-                # entry point keeps its historical positional signature
-                # (chaos tests monkeypatch it) on untraced runs.
-                tspec = _telemetry.worker_spec(f"worker-{index}")
-                if tspec is not None:
-                    args += (tspec,)
-                process = self._mp.Process(
-                    target=_scheduler_worker_main,
-                    args=args,
-                    name=f"scheduler-worker-{index}",
-                )
-                process.start()
-                processes.append(process)
-            try:
-                for process in processes:
-                    process.join()
-            except BaseException:
-                # Parent interrupted: stop the workers; whatever they
-                # checkpointed stays on disk for the next resume.
-                for process in processes:
-                    if process.is_alive():
-                        process.terminate()
-                for process in processes:
-                    process.join()
-                raise
-        self.last_dead_workers = [
-            p.name for p in processes if p.exitcode != 0
-        ]
-        return time.perf_counter() - drain_start

@@ -59,7 +59,6 @@ def run(
     candidates: "str | None" = None,
     campaign_checkpoint: "Path | str | None" = None,
     workers: int = 1,
-    scheduler: bool = False,
     lease_ttl: "float | None" = None,
 ) -> dict:
     """Sweep every panel; returns per-panel series (mean over repeats).
@@ -78,14 +77,10 @@ def run(
 
     ``workers > 1`` drains each panel's job grid through a
     :class:`~repro.attacks.executor.ParallelCampaignExecutor` (one engine
-    per worker process, sharded job queue) — results are bit-identical to
-    the serial campaign, and checkpoints interoperate across worker
-    counts.
-
-    ``scheduler=True`` (with ``workers > 1``) swaps the static shards for
-    the work-stealing :class:`~repro.attacks.scheduler.SchedulingCampaignExecutor`
-    — same results, but the mixed-cost panel grids drain without idle
-    workers and a killed worker's jobs requeue after ``lease_ttl`` seconds.
+    per worker process, shared work-stealing queue) — results are
+    bit-identical to the serial campaign, checkpoints interoperate across
+    worker counts, the mixed-cost panel grids drain without idle workers,
+    and a killed worker's jobs requeue after ``lease_ttl`` seconds.
     """
     seeds = SeedSequenceFactory(seed)
     detector = OddBall()
@@ -124,8 +119,7 @@ def run(
             checkpoint_path = Path(campaign_checkpoint) / f"fig4_{panel_name}.json"
         campaign = build_campaign(
             graph, backend=backend, checkpoint_path=checkpoint_path,
-            compute_ranks=False, workers=workers,
-            scheduler=scheduler, lease_ttl=lease_ttl,
+            compute_ranks=False, workers=workers, lease_ttl=lease_ttl,
         )
         sweep = campaign.run(unique_jobs.values())
 

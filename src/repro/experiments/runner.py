@@ -31,19 +31,15 @@ resumes from the last completed job::
     python -m repro.experiments.runner -e fig4 --scale paper \
         --campaign-checkpoint results/checkpoints/
 
-``--workers N`` shards the campaign-driven sweeps (fig4, table1) across N
-worker processes — one surrogate engine per worker, results bit-identical
-to the serial run, and checkpoints that resume across *different* worker
-counts::
+``--workers N`` drains the campaign-driven sweeps (fig4, table1) across N
+worker processes through the work-stealing queue
+(:mod:`repro.attacks.scheduler`) — one surrogate engine per worker,
+results bit-identical to the serial run, checkpoints that resume across
+*different* worker counts, and a killed worker's jobs requeued after
+``--lease-ttl`` seconds instead of failing the sweep::
 
     python -m repro.experiments.runner -e fig4 --scale paper \
         --backend sparse --workers 4
-
-``--scheduler`` (with ``--workers N``) drains those sweeps through the
-work-stealing scheduler (:mod:`repro.attacks.scheduler`) instead of static
-round-robin shards: identical results, better wall-clock on cost-skewed
-grids, and a killed worker's jobs are requeued after ``--lease-ttl``
-seconds instead of failing the sweep.
 
 ``--telemetry DIR`` turns on :mod:`repro.telemetry` process-wide: the
 campaigns, executors, scheduler and kernels the drivers touch write a
@@ -105,13 +101,12 @@ def run_experiment(
     workers: int = 1,
     store_datasets: bool = False,
     store_cache: "Path | None" = None,
-    scheduler: bool = False,
     lease_ttl: "float | None" = None,
 ) -> tuple[dict, str]:
     """Run one experiment; returns (payload, formatted text).
 
     ``backend``, ``candidates``, ``campaign_checkpoint``, ``workers``,
-    ``scheduler``/``lease_ttl`` and the store flags are forwarded to
+    ``lease_ttl`` and the store flags are forwarded to
     drivers that accept them (the attack-driven figures;
     ``store_datasets`` currently extends table1 with memory-mapped
     paper-scale rows); the rest run unchanged.
@@ -129,8 +124,7 @@ def run_experiment(
         kwargs["campaign_checkpoint"] = campaign_checkpoint
     if "workers" in parameters and workers != 1:
         kwargs["workers"] = workers
-    if "scheduler" in parameters and scheduler:
-        kwargs["scheduler"] = scheduler
+    if "lease_ttl" in parameters and lease_ttl is not None:
         kwargs["lease_ttl"] = lease_ttl
     if "store_datasets" in parameters and store_datasets:
         kwargs["store_datasets"] = store_datasets
@@ -183,14 +177,8 @@ def main(argv: "list[str] | None" = None) -> int:
     parser.add_argument("--workers", type=int, default=1,
                         help="worker processes for the campaign-driven sweeps "
                              "(1 = serial; results are identical either way)")
-    parser.add_argument("--scheduler", action="store_true",
-                        help="drain campaign jobs through the work-stealing "
-                             "scheduler instead of static round-robin shards "
-                             "(needs --workers > 1; results are identical, "
-                             "cost-skewed grids finish sooner and a killed "
-                             "worker's jobs are requeued)")
     parser.add_argument("--lease-ttl", type=float, default=None,
-                        help="scheduler lease time-to-live in seconds "
+                        help="work-queue lease time-to-live in seconds "
                              "(default: $REPRO_LEASE_TTL or 30; bounds how "
                              "long a dead worker's jobs wait before requeue)")
     parser.add_argument("--store-datasets", action="store_true",
@@ -247,7 +235,6 @@ def main(argv: "list[str] | None" = None) -> int:
                 workers=args.workers,
                 store_datasets=args.store_datasets,
                 store_cache=args.store_cache,
-                scheduler=args.scheduler,
                 lease_ttl=args.lease_ttl,
             )
         print(text)

@@ -49,21 +49,19 @@ def run(
     workers: int = 1,
     store_datasets: "Sequence[str] | bool" = False,
     store_cache=None,
-    scheduler: bool = False,
     lease_ttl: "float | None" = None,
 ) -> dict:
     """Generate all five graphs; collect statistics + attackability.
 
     ``workers > 1`` runs each dataset's attackability sweep through the
-    parallel campaign executor (bit-identical outcomes, sharded across
-    worker processes).  ``store_datasets`` appends paper-scale rows backed
+    parallel campaign executor (bit-identical outcomes, drained by worker
+    processes from a shared queue; ``lease_ttl`` bounds crash-requeue
+    latency).  ``store_datasets`` appends paper-scale rows backed
     by memory-mapped graph stores: ``True`` for every ``*-full`` name, or
     an explicit name list (``["blogcatalog-full"]`` is the one the paper
     attacks at 88.8k nodes).  Store rows run their attackability sweep
     through ``store``-kind engine specs — workers mmap the graph instead
-    of receiving an array payload.  ``scheduler=True`` drains the sweeps
-    through the work-stealing scheduler instead of static shards (same
-    outcomes; crash-requeue and better balance on skewed grids).
+    of receiving an array payload.
     """
     seeds = SeedSequenceFactory(seed)
     detector = OddBall()
@@ -80,8 +78,7 @@ def run(
         budget = scale.budgets_for(graph.number_of_edges)[0]
         targets = detector.analyze(graph).top_k(ATTACK_TARGETS).tolist()
         rows.append(
-            _attackability(stats, graph, targets, budget, workers,
-                           scheduler, lease_ttl)
+            _attackability(stats, graph, targets, budget, workers, lease_ttl)
         )
 
     if store_datasets:
@@ -92,19 +89,17 @@ def run(
         )
         for name in names:
             rows.append(
-                _store_row(name, scale, seed, workers, store_cache,
-                           scheduler, lease_ttl)
+                _store_row(name, scale, seed, workers, store_cache, lease_ttl)
             )
     return {"scale": scale.name, "seed": seed, "rows": rows}
 
 
 def _attackability(
     stats: dict, graph, targets: "list[int]", budget: int, workers: int,
-    scheduler: bool = False, lease_ttl: "float | None" = None,
+    lease_ttl: "float | None" = None,
 ) -> dict:
     """Fill the attackability columns of one table row in place."""
-    campaign = build_campaign(graph, workers=workers,
-                              scheduler=scheduler, lease_ttl=lease_ttl)
+    campaign = build_campaign(graph, workers=workers, lease_ttl=lease_ttl)
     sweep = campaign.run(
         grid_jobs(
             "gradmaxsearch",
@@ -126,7 +121,7 @@ def _attackability(
 
 def _store_row(
     name: str, scale: Scale, seed: int, workers: int, store_cache,
-    scheduler: bool = False, lease_ttl: "float | None" = None,
+    lease_ttl: "float | None" = None,
 ) -> dict:
     """One paper-scale row: store-backed stats + a budget-5 sweep."""
     from repro.graph.datasets import load_dataset
@@ -139,7 +134,7 @@ def _store_row(
     stats["paper_edges"] = store.recipe["edges"]
     targets = store.top_targets(ATTACK_TARGETS)
     return _attackability(stats, store, targets, STORE_ATTACK_BUDGET,
-                          workers, scheduler, lease_ttl)
+                          workers, lease_ttl)
 
 
 def format_results(payload: dict) -> str:

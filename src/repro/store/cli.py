@@ -6,9 +6,8 @@ Usage::
     python -m repro.store info blogcatalog-full        # or a store path
     python -m repro.store recipe-hash blogcatalog-full --scale 0.02
     python -m repro.store campaign blogcatalog-full --budget 5 --workers 4
-    python -m repro.store campaign blogcatalog-full --workers 4 --scheduler
     python -m repro.store campaign blogcatalog-full --workers 4 \\
-        --scheduler --telemetry traces/run1
+        --telemetry traces/run1
 
 ``build`` constructs (or reopens, on a cache hit) the content-addressed
 store; ``info`` prints its manifest; ``recipe-hash`` prints only the digest
@@ -17,10 +16,9 @@ store; ``info`` prints its manifest; ``recipe-hash`` prints only the digest
 decision-variable strategy) over the top-scoring OddBall targets end-to-end
 through the parallel executor,
 with every worker opening the memory-mapped store via a ``store``-kind
-:class:`~repro.oddball.surrogate.EngineSpec` (``--scheduler`` swaps the
-static shards for the work-stealing queue of
-:mod:`repro.attacks.scheduler`; ``--lease-ttl`` bounds crash-requeue
-latency).
+:class:`~repro.oddball.surrogate.EngineSpec` and claiming jobs from the
+work-stealing queue of :mod:`repro.attacks.scheduler` (``--lease-ttl``
+bounds crash-requeue latency).
 """
 
 from __future__ import annotations
@@ -137,7 +135,7 @@ def _cmd_campaign(args) -> int:
     campaign = build_campaign(
         store, workers=args.workers, backend="sparse", kernels=args.kernels,
         checkpoint_path=args.checkpoint,
-        scheduler=args.scheduler, lease_ttl=args.lease_ttl,
+        lease_ttl=args.lease_ttl,
         telemetry=args.telemetry,
     )
     start = time.perf_counter()
@@ -209,13 +207,8 @@ def main(argv: "list[str] | None" = None) -> int:
                           default="auto",
                           help="hot-loop kernel backend (repro.kernels); "
                                "flips are identical either way")
-    campaign.add_argument("--scheduler", action="store_true",
-                          help="drain jobs through the work-stealing "
-                               "scheduler instead of static round-robin "
-                               "shards (same results; crash-requeue and "
-                               "no idle workers on skewed grids)")
     campaign.add_argument("--lease-ttl", type=float, default=None,
-                          help="scheduler lease TTL in seconds (default: "
+                          help="work-queue lease TTL in seconds (default: "
                                "$REPRO_LEASE_TTL or 30)")
     campaign.add_argument("--telemetry", type=Path, default=None,
                           metavar="DIR",

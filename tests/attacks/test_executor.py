@@ -1,10 +1,13 @@
-"""Executor semantics: sharding across processes is a wall-clock lever,
-never a semantics change.  A parallel run must be bit-identical to the
-serial :class:`AttackCampaign` on the same grid, checkpoints must
-interoperate between serial and parallel runs, and a run killed mid-shard
+"""Executor semantics: draining a grid across processes is a wall-clock
+lever, never a semantics change.  A parallel run must be bit-identical to
+the serial :class:`AttackCampaign` on the same grid, checkpoints must
+interoperate between serial and parallel runs, and a run killed mid-drain
 must resume — with a *different* worker count — to the same result."""
 
 import json
+import multiprocessing
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -15,10 +18,11 @@ from repro.attacks import (
     OddBallHeuristic,
     ParallelCampaignExecutor,
     RandomAttack,
+    WorkQueue,
     build_campaign,
     grid_jobs,
 )
-from repro.attacks.executor import _worker_main
+from repro.attacks.scheduler import _scheduler_worker_main
 from repro.graph.generators import barabasi_albert
 from repro.oddball.detector import OddBall
 from repro.oddball.surrogate import EngineSpec, SurrogateEngine
@@ -74,12 +78,14 @@ class TestParallelSerialParity:
         jobs = sweep_jobs(targets, count=6)
         executor = ParallelCampaignExecutor(graph, workers=3)
         executor.run(jobs)
-        assert [len(s) for s in executor.last_shards] == [2, 2, 2]
-        assert len(executor.last_worker_stats) == 3
+        assert sum(len(s) for s in executor.last_shards) == 6
+        assert sum(s["jobs"] for s in executor.last_worker_stats) == 6
         for stats in executor.last_worker_stats:
-            assert stats["jobs"] == 2
+            assert stats["claims"] >= stats["jobs"]
+            assert stats["completions"] == stats["jobs"]
             assert stats["cpu_seconds"] >= 0.0
             assert stats["wall_seconds"] > 0.0
+        assert executor.last_dead_workers == []
         assert executor.last_overhead_seconds >= 0.0
 
     def test_build_campaign_switch(self, graph_and_targets):
@@ -88,6 +94,16 @@ class TestParallelSerialParity:
         assert isinstance(
             build_campaign(graph, workers=2), ParallelCampaignExecutor
         )
+        assert isinstance(
+            build_campaign(graph, workers=2, scheduler=True),
+            ParallelCampaignExecutor,
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_build_campaign_rejects_static_shards(self, graph_and_targets, workers):
+        graph, _ = graph_and_targets
+        with pytest.raises(ValueError, match="static round-robin shards"):
+            build_campaign(graph, workers=workers, scheduler=False)
 
     def test_rejects_bad_worker_count(self, graph_and_targets):
         graph, _ = graph_and_targets
@@ -99,14 +115,14 @@ class TestCheckpointInterop:
     def test_kill_and_resume_with_different_worker_count(
         self, graph_and_targets, tmp_path, sweep_jobs, assert_outcomes_identical
     ):
-        """A parallel run killed mid-shard resumes under a new worker count.
+        """A parallel run killed mid-drain resumes under a new worker count.
 
-        The kill is simulated faithfully: two worker shards are drained
-        directly via the executor's worker entry point (as a killed
-        2-worker run would leave them — completed jobs in per-worker shard
-        files, never merged), then a fresh 3-worker executor must fold the
-        leftovers in, run only the remainder, and match a fresh serial run
-        bit-for-bit.
+        The kill is simulated faithfully: two worker shards are written
+        directly by the executor's worker entry point, each draining its
+        own queue (as a killed 2-worker run would leave them — completed
+        jobs in per-worker shard files, never merged), then a fresh
+        3-worker executor must fold the leftovers in, run only the
+        remainder, and match a fresh serial run bit-for-bit.
         """
         graph, targets = graph_and_targets
         jobs = sweep_jobs(targets)
@@ -114,8 +130,13 @@ class TestCheckpointInterop:
 
         checkpoint = tmp_path / "campaign.jsonl"
         spec = EngineSpec.from_graph(graph.adjacency, backend="auto")
-        _worker_main(spec, jobs[0:3], str(checkpoint) + ".shard0", True)
-        _worker_main(spec, jobs[3:5], str(checkpoint) + ".shard1", True)
+        for index, part in enumerate((jobs[0:3], jobs[3:5])):
+            queue_dir = tmp_path / f"queue{index}"
+            WorkQueue.create(queue_dir, part, lease_ttl=30.0)
+            _scheduler_worker_main(
+                spec, str(queue_dir), f"{checkpoint}.shard{index}", True,
+                30.0, index,
+            )
         assert (tmp_path / "campaign.jsonl.shard0").exists()
         assert not checkpoint.exists()  # parent never merged: a true kill
 
@@ -343,40 +364,48 @@ class TestBaselineEngineInjection:
             assert solo.surrogate_by_budget == outcome.surrogate_by_budget
 
 
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the failure is injected by monkeypatching through fork",
+)
 class TestWorkerFailure:
-    def test_dead_worker_raises_and_preserves_completed_jobs(
+    def test_chaos_every_worker_dying_raises_and_preserves_completed_jobs(
         self, graph_and_targets, tmp_path, monkeypatch, sweep_jobs, assert_outcomes_identical
     ):
-        """A worker that dies mid-shard fails the run loudly, but the jobs
-        it completed stay in the merged checkpoint for the next resume."""
+        """When every worker dies partway no survivor can requeue the rest:
+        the run fails loudly, but the jobs the workers completed stay in
+        the merged checkpoint for the next resume."""
         graph, targets = graph_and_targets
         jobs = sweep_jobs(targets, count=6)
         checkpoint = tmp_path / "campaign.jsonl"
+        real_complete = WorkQueue.complete
 
-        import repro.attacks.executor as executor_module
+        def complete_then_die(self, job_id):
+            # Fork isolation: the patch reaches the workers, and the parent
+            # never completes a job.  Each worker dies after one job.
+            real_complete(self, job_id)
+            os.kill(os.getpid(), signal.SIGKILL)
 
-        real_worker = executor_module._worker_main
-
-        def flaky_worker(spec, shard, shard_path, compute_ranks):
-            if shard_path.endswith(".shard1"):
-                raise SystemExit(1)  # dies before touching its shard
-            real_worker(spec, shard, shard_path, compute_ranks)
-
-        monkeypatch.setattr(executor_module, "_worker_main", flaky_worker)
-        with pytest.raises(RuntimeError, match="exited abnormally"):
-            ParallelCampaignExecutor(
-                graph, workers=2, checkpoint_path=checkpoint
-            ).run(jobs)
-        # worker 0's three jobs were merged into the main checkpoint
+        monkeypatch.setattr(WorkQueue, "complete", complete_then_die)
+        executor = ParallelCampaignExecutor(
+            graph, workers=2, checkpoint_path=checkpoint
+        )
+        with pytest.raises(RuntimeError, match="unaccounted for"):
+            executor.run(jobs)
+        assert executor.last_dead_workers == [
+            "campaign-worker-0", "campaign-worker-1",
+        ]
+        # each worker's one completed job was merged into the checkpoint
         completed = [
             json.loads(line)
             for line in checkpoint.read_text().splitlines()[1:]
         ]
-        assert len(completed) == 3
+        assert len(completed) == 2
+        assert not list(tmp_path.glob("*.shard*"))
         # an undamaged rerun resumes them and matches a fresh serial run
         monkeypatch.undo()
         resumed = ParallelCampaignExecutor(
             graph, workers=2, checkpoint_path=checkpoint
         ).run(jobs)
-        assert resumed.resumed_jobs == 3
+        assert resumed.resumed_jobs == 2
         assert_outcomes_identical(AttackCampaign(graph).run(jobs), resumed)

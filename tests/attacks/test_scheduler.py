@@ -1,9 +1,9 @@
-"""Scheduler semantics: work-stealing is a wall-clock/fault-tolerance
-lever, never a semantics change.  A queue-drained run must be bit-identical
-to the serial :class:`AttackCampaign`, checkpoints must interoperate with
-the serial campaign and the static executor, a SIGKILL'd worker's jobs must
-be requeued and recovered (chaos tests), and a job legitimately completed
-twice must keep exactly one record in the merged checkpoint."""
+"""Work-queue semantics: leases, heartbeats and steals are a
+fault-tolerance lever, never a semantics change.  A SIGKILL'd worker's
+jobs must be requeued and recovered (chaos tests), a corrupt lease must
+never strand its job, and a job legitimately completed twice must keep
+exactly one record in the merged checkpoint.  Parity with the serial
+campaign and checkpoint interop live in ``test_executor.py``."""
 
 import json
 import multiprocessing
@@ -16,9 +16,7 @@ import pytest
 from repro.attacks import (
     AttackCampaign,
     ParallelCampaignExecutor,
-    SchedulingCampaignExecutor,
     WorkQueue,
-    build_campaign,
     grid_jobs,
 )
 from repro.attacks.campaign import CheckpointStore, JobOutcome
@@ -82,7 +80,7 @@ class TestLeaseTtlResolution:
     def test_executor_picks_up_env(self, monkeypatch, graph_and_targets):
         graph, _ = graph_and_targets
         monkeypatch.setenv(LEASE_TTL_ENV, "7.5")
-        executor = SchedulingCampaignExecutor(graph, workers=2)
+        executor = ParallelCampaignExecutor(graph, workers=2)
         assert executor.lease_ttl == 7.5
 
 
@@ -94,6 +92,16 @@ class TestWorkQueue:
         assert [job.job_id for job in queue.jobs] == [job.job_id for job in jobs]
         assert queue.lease_ttl == 3.0
         assert queue.remaining() == 5 and not queue.all_done()
+
+    @pytest.mark.parametrize("ttl, poll", [(30.0, 0.01), (1.0, 0.01), (0.05, 0.005)])
+    def test_idle_poll_is_at_most_10ms_and_a_tenth_of_the_ttl(
+        self, tmp_path, ttl, poll
+    ):
+        """A worker waiting on a peer's last job must see the drained queue
+        within ~10 ms, whatever the TTL; short TTLs poll faster still."""
+        WorkQueue.create(tmp_path / "q", _queue_jobs(1), lease_ttl=ttl)
+        queue = WorkQueue.open(tmp_path / "q", worker="w0")
+        assert queue.poll_interval == pytest.approx(poll)
 
     def test_claims_follow_queue_order_and_write_leases(self, tmp_path):
         jobs = _queue_jobs(3)
@@ -186,6 +194,34 @@ class TestWorkQueue:
         job = queue.claim()
         assert job.job_id == jobs[0].job_id
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("deadline", "NaN"),
+            ("deadline", "Infinity"),
+            ("claimed_at", "NaN"),
+            ("claimed_at", "-Infinity"),
+            ("generation", "-1"),
+        ],
+    )
+    def test_corrupt_lease_is_immediately_stealable(self, tmp_path, field, value):
+        """``json.loads`` accepts NaN/Infinity, and ``now >= nan`` is never
+        true: a lease with a non-finite time (or a negative generation)
+        must count as torn — stealable at once, not held forever."""
+        jobs = _queue_jobs(1)
+        WorkQueue.create(tmp_path / "q", jobs, lease_ttl=10.0)
+        clock = FakeClock()
+        dead = WorkQueue.open(tmp_path / "q", worker="dead", clock=clock)
+        thief = WorkQueue.open(tmp_path / "q", worker="thief", clock=clock)
+        dead.claim()
+        lease = tmp_path / "q" / "leases" / f"{jobs[0].job_id}.json"
+        payload = json.loads(lease.read_text())
+        payload[field] = "@"
+        lease.write_text(json.dumps(payload).replace('"@"', value))
+        stolen = thief.claim()
+        assert stolen is not None and stolen.job_id == jobs[0].job_id
+        assert thief.lease_of(stolen.job_id).worker == "thief"
+
     def test_release_returns_job_to_the_queue(self, tmp_path):
         jobs = _queue_jobs(1)
         WorkQueue.create(tmp_path / "q", jobs, lease_ttl=10.0)
@@ -210,116 +246,18 @@ class TestWorkQueue:
         assert queue.lease_of(jobs[0].job_id).worker == "w0"
 
 
-class TestSchedulerSerialParity:
-    @pytest.mark.parametrize("backend", ["dense", "sparse"])
-    def test_identical_result_serial_vs_scheduler(self, graph_and_targets, backend, sweep_jobs, assert_outcomes_identical):
-        graph, targets = graph_and_targets
-        jobs = sweep_jobs(targets)
-        serial = build_campaign(graph, backend=backend, workers=1).run(jobs)
-        scheduled = build_campaign(
-            graph, backend=backend, workers=4, scheduler=True
-        ).run(jobs)
-        assert_outcomes_identical(serial, scheduled)
-
-    def test_mixed_cost_grid_parity(self, graph_and_targets, sweep_jobs, assert_outcomes_identical):
-        """λ-sweep Binarized jobs next to cheap GradMax jobs — the skew the
-        scheduler exists for — still produce bit-identical outcomes."""
-        graph, targets = graph_and_targets
-        jobs = sweep_jobs(targets, count=3)
-        jobs += grid_jobs(
-            "binarizedattack", [targets[:3]], budgets=[3],
-            lambdas=[0.3, 0.05], candidates="target_incident", iterations=15,
-        )
-        serial = AttackCampaign(graph).run(jobs)
-        scheduled = SchedulingCampaignExecutor(graph, workers=3).run(jobs)
-        assert_outcomes_identical(serial, scheduled)
-
-    def test_build_campaign_scheduler_switch(self, graph_and_targets):
-        graph, _ = graph_and_targets
-        executor = build_campaign(graph, workers=2, scheduler=True)
-        assert isinstance(executor, SchedulingCampaignExecutor)
-        assert isinstance(executor, ParallelCampaignExecutor)
-        static = build_campaign(graph, workers=2)
-        assert not isinstance(static, SchedulingCampaignExecutor)
-
-    def test_worker_observability(self, graph_and_targets, sweep_jobs):
-        graph, targets = graph_and_targets
-        jobs = sweep_jobs(targets, count=6)
-        executor = SchedulingCampaignExecutor(graph, workers=3)
-        executor.run(jobs)
-        assert sum(len(s) for s in executor.last_shards) == 6
-        assert sum(s["jobs"] for s in executor.last_worker_stats) == 6
-        for stats in executor.last_worker_stats:
-            assert stats["claims"] >= stats["jobs"]
-            assert stats["completions"] == stats["jobs"]
-        assert executor.last_dead_workers == []
-        assert executor.last_overhead_seconds >= 0.0
-
+class TestQueueCleanup:
     def test_queue_dir_is_cleaned_up_after_the_run(
         self, graph_and_targets, tmp_path, sweep_jobs
     ):
         graph, targets = graph_and_targets
         jobs = sweep_jobs(targets, count=3)
         checkpoint = tmp_path / "campaign.jsonl"
-        SchedulingCampaignExecutor(
+        ParallelCampaignExecutor(
             graph, workers=2, checkpoint_path=checkpoint
         ).run(jobs)
         assert not (tmp_path / "campaign.jsonl.queue").exists()
         assert not list(tmp_path.glob("*.shard*"))
-
-
-class TestSchedulerCheckpointResume:
-    def test_scheduler_resumes_serial_checkpoint(self, graph_and_targets, tmp_path, sweep_jobs, assert_outcomes_identical):
-        graph, targets = graph_and_targets
-        jobs = sweep_jobs(targets)
-        checkpoint = tmp_path / "campaign.jsonl"
-        AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs[:4])
-        resumed = SchedulingCampaignExecutor(
-            graph, workers=3, checkpoint_path=checkpoint
-        ).run(jobs)
-        assert resumed.resumed_jobs == 4
-        assert_outcomes_identical(AttackCampaign(graph).run(jobs), resumed)
-
-    def test_serial_resumes_scheduler_checkpoint(self, graph_and_targets, tmp_path, sweep_jobs):
-        graph, targets = graph_and_targets
-        jobs = sweep_jobs(targets)
-        checkpoint = tmp_path / "campaign.jsonl"
-        SchedulingCampaignExecutor(
-            graph, workers=3, checkpoint_path=checkpoint
-        ).run(jobs)
-        resumed = AttackCampaign(graph, checkpoint_path=checkpoint).run(jobs)
-        assert resumed.resumed_jobs == len(jobs)
-
-    def test_static_executor_resumes_scheduler_checkpoint(
-        self, graph_and_targets, tmp_path, sweep_jobs, assert_outcomes_identical
-    ):
-        graph, targets = graph_and_targets
-        jobs = sweep_jobs(targets)
-        checkpoint = tmp_path / "campaign.jsonl"
-        SchedulingCampaignExecutor(
-            graph, workers=2, checkpoint_path=checkpoint
-        ).run(jobs[:5])
-        resumed = ParallelCampaignExecutor(
-            graph, workers=3, checkpoint_path=checkpoint
-        ).run(jobs)
-        assert resumed.resumed_jobs == 5
-        assert_outcomes_identical(AttackCampaign(graph).run(jobs), resumed)
-
-    def test_fully_checkpointed_run_spawns_no_workers(
-        self, graph_and_targets, tmp_path, sweep_jobs
-    ):
-        graph, targets = graph_and_targets
-        jobs = sweep_jobs(targets, count=3)
-        checkpoint = tmp_path / "campaign.jsonl"
-        SchedulingCampaignExecutor(
-            graph, workers=2, checkpoint_path=checkpoint
-        ).run(jobs)
-        executor = SchedulingCampaignExecutor(
-            graph, workers=2, checkpoint_path=checkpoint
-        )
-        replay = executor.run(jobs)
-        assert replay.resumed_jobs == 3
-        assert executor.last_shards == []
 
 
 def _chaos_ttl():
@@ -364,12 +302,12 @@ class TestChaosKillMidLease:
             scheduler_module, "_scheduler_worker_main", kamikaze_main
         )
         checkpoint = tmp_path / "campaign.jsonl"
-        executor = SchedulingCampaignExecutor(
+        executor = ParallelCampaignExecutor(
             graph, workers=3, checkpoint_path=checkpoint,
             lease_ttl=_chaos_ttl(),
         )
         result = executor.run(jobs)           # must NOT raise: jobs recovered
-        assert executor.last_dead_workers == ["scheduler-worker-0"]
+        assert executor.last_dead_workers == ["campaign-worker-0"]
         assert executor.last_requeues >= 1
         assert_outcomes_identical(serial, result)
 
@@ -402,12 +340,12 @@ class TestChaosKillMidLease:
             scheduler_module, "_scheduler_worker_main", kamikaze_main
         )
         checkpoint = tmp_path / "campaign.jsonl"
-        executor = SchedulingCampaignExecutor(
+        executor = ParallelCampaignExecutor(
             graph, workers=3, checkpoint_path=checkpoint,
             lease_ttl=_chaos_ttl(),
         )
         result = executor.run(jobs)
-        assert executor.last_dead_workers == ["scheduler-worker-0"]
+        assert executor.last_dead_workers == ["campaign-worker-0"]
         assert_outcomes_identical(serial, result)
         # exactly one record per job survived the double completion
         records = [
@@ -447,11 +385,11 @@ class TestChaosKillMidLease:
         monkeypatch.setattr(
             scheduler_module, "_scheduler_worker_main", kamikaze_main
         )
-        executor = SchedulingCampaignExecutor(
+        executor = ParallelCampaignExecutor(
             graph, workers=2, lease_ttl=_chaos_ttl()
         )
         result = executor.run(jobs)
-        assert executor.last_dead_workers == ["scheduler-worker-1"]
+        assert executor.last_dead_workers == ["campaign-worker-1"]
         assert_outcomes_identical(serial, result)
 
 
@@ -496,7 +434,7 @@ class TestCheckpointDedupe:
         serial = AttackCampaign(graph).run(jobs)
         checkpoint = tmp_path / "campaign.jsonl"
 
-        executor = SchedulingCampaignExecutor(
+        executor = ParallelCampaignExecutor(
             graph, workers=2, checkpoint_path=checkpoint
         )
         first = serial.outcomes[0]

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments.runner import main
+from repro.experiments import runner
+from repro.experiments.runner import main, run_experiment
 
 
 class TestMain:
@@ -27,3 +28,15 @@ class TestMain:
     def test_unknown_scale_rejected(self):
         with pytest.raises(SystemExit):
             main(["--experiment", "table1", "--scale", "huge"])
+
+
+def test_lease_ttl_is_forwarded_on_its_own(monkeypatch):
+    seen = {}
+
+    def fake_run(scale, seed, workers=1, lease_ttl=None):
+        seen.update(workers=workers, lease_ttl=lease_ttl)
+        return {}
+
+    monkeypatch.setitem(runner.EXPERIMENTS, "fake", (fake_run, lambda payload: ""))
+    run_experiment("fake", workers=2, lease_ttl=5.0)
+    assert seen == {"workers": 2, "lease_ttl": 5.0}

@@ -241,14 +241,14 @@ class TestCrossBackingResume:
         assert_outcomes_identical(AttackCampaign(store).run(jobs), resumed)
         _assert_no_side_tables(store)
 
-    def test_scheduler_resumes_payload_checkpoint(self, store, memory_graph, tmp_path, sweep_jobs, assert_outcomes_identical, store_targets):
+    def test_build_campaign_resumes_payload_checkpoint(self, store, memory_graph, tmp_path, sweep_jobs, assert_outcomes_identical, store_targets):
         jobs = sweep_jobs(store_targets, count=5, budget=2)
         checkpoint = tmp_path / "campaign.jsonl"
         AttackCampaign(
             memory_graph, backend="sparse", checkpoint_path=checkpoint
         ).run(jobs[:3])
         resumed = build_campaign(
-            store, workers=2, scheduler=True, checkpoint_path=checkpoint
+            store, workers=2, checkpoint_path=checkpoint
         ).run(jobs)
         assert resumed.resumed_jobs == 3
         assert_outcomes_identical(AttackCampaign(store).run(jobs), resumed)

@@ -16,11 +16,8 @@ import signal
 
 from repro import telemetry
 from repro.attacks.campaign import AttackCampaign
-from repro.attacks.scheduler import (
-    SchedulingCampaignExecutor,
-    WorkQueue,
-    resolve_lease_ttl,
-)
+from repro.attacks.executor import ParallelCampaignExecutor
+from repro.attacks.scheduler import WorkQueue, resolve_lease_ttl
 from repro.telemetry.report import chrome_trace, render_report, summarize
 
 
@@ -61,14 +58,14 @@ class TestMergeUnderChaos:
             scheduler_module, "_scheduler_worker_main", kamikaze_main
         )
         trace_dir = tmp_path / "trace"
-        executor = SchedulingCampaignExecutor(
+        executor = ParallelCampaignExecutor(
             graph, workers=4, lease_ttl=_chaos_ttl(), telemetry=trace_dir,
         )
         result = executor.run(jobs)
         telemetry.shutdown()
 
         # the run itself recovered, and the result records the chaos
-        assert result.dead_workers == ("scheduler-worker-0",)
+        assert result.dead_workers == ("campaign-worker-0",)
         assert result.requeues >= 1
         assert result.worker_stats
         assert_outcomes_identical(serial, result)
@@ -105,7 +102,7 @@ class TestMergeUnderChaos:
         graph, targets = graph_and_targets
         jobs = sweep_jobs(targets, count=4)
         trace_dir = tmp_path / "trace"
-        result = SchedulingCampaignExecutor(
+        result = ParallelCampaignExecutor(
             graph, workers=2, telemetry=trace_dir
         ).run(jobs)
         telemetry.shutdown()

@@ -87,12 +87,12 @@ class TestCampaignResultStats:
             n=90,
             seconds=1.5,
             worker_stats=[{"jobs": 2, "max_rss_kb": 1024}],
-            dead_workers=("scheduler-worker-1",),
+            dead_workers=("campaign-worker-1",),
             requeues=3,
         )
         restored = CampaignResult.from_dict(result.to_dict())
         assert restored.worker_stats == [{"jobs": 2, "max_rss_kb": 1024}]
-        assert restored.dead_workers == ("scheduler-worker-1",)
+        assert restored.dead_workers == ("campaign-worker-1",)
         assert restored.requeues == 3
         assert restored.peak_rss_kb == 1024
 
